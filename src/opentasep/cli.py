@@ -38,7 +38,8 @@ EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
-DEFAULT_GRID = ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0))
+DEFAULT_GRID = ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0),
+                (0.3, 0.45), (1.3, 1.7))
 
 
 class UsageError(Exception):
@@ -109,7 +110,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-identity", type=float, default=1e-12)
     p.add_argument("--tol-matrix", type=float, default=1e-10)
     p.add_argument("--tol-generator", type=float, default=1e-10)
-    p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("sample", help="exact pair-ensemble samples")
     _add_param_options(p)
@@ -154,21 +154,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_path(argv: list[str]) -> str | None:
+GLOBAL_VALUE_OPTIONS = ("--config", "--threads")
+
+
+def _split_config(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The config path, if any, and argv without its --config option."""
     for j, tok in enumerate(argv):
         if tok == "--config":
             if j + 1 >= len(argv):
                 raise UsageError("--config needs a path")
-            return argv[j + 1]
+            return argv[j + 1], argv[:j] + argv[j + 2:]
         if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+            return tok.split("=", 1)[1], argv[:j] + argv[j + 1:]
+    return None, argv
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Insert config-file entries as flags right after the command tokens so
-    explicit flags (parsed later) win."""
-    path = _config_path(argv)
+    """Consume --config wherever it stands and insert the file's entries as
+    flags ahead of the explicit ones, so explicit flags (parsed later) win:
+    global options go first, the others right after the command tokens."""
+    path, out = _split_config(argv)
     if path is None:
         return argv
     try:
@@ -176,6 +181,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
+    global_flags: list[str] = []
     flags: list[str] = []
     for line in lines:
         line = line.strip()
@@ -184,25 +190,25 @@ def _apply_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise UsageError(f"bad config line: {line!r}")
         key, _, value = line.partition("=")
-        flags.extend([f"--{key.strip()}", value.strip()])
-    out = list(argv)
+        flag = f"--{key.strip()}"
+        target = global_flags if flag in GLOBAL_VALUE_OPTIONS else flags
+        target.extend([flag, value.strip()])
     # locate the command token, skipping global flags and their values
     j = 0
     while j < len(out):
         tok = out[j]
-        if tok in ("--config", "--threads"):
+        if tok in GLOBAL_VALUE_OPTIONS:
             j += 2
         elif tok.startswith("-"):
             j += 1
         else:
             break
     if j >= len(out):
-        return out  # no command; the parser will complain
+        return global_flags + out  # no command; the parser will complain
     pos = j + 1
     if out[j] == "ldp" and pos < len(out) and not out[pos].startswith("-"):
         pos += 1
-    out[pos:pos] = flags
-    return out
+    return global_flags + out[:pos] + flags + out[pos:]
 
 
 def _require(args, names) -> None:
@@ -267,17 +273,10 @@ def cmd_verify(args) -> int:
         for n in range(1, n_max + 1):
             rec = exact_engine.stationary_weights_recursive(n, a, b)
             probs = rec.probabilities()
-            if args.inject_error:
-                probs = probs.copy()
-                probs[0] *= 1.0 + 1e-3
-            report = exact_engine.verify_marginal_identity(n, a, b, args.tol_marginal)
-            marg_err = report.max_abs_error
-            if args.inject_error:
-                marg_err += 1e-3
-            ident_err = 0.0
-            for i in range(1 << n):
-                f_val = exact_engine.f_n_enumerate(rec.config(i), a, b)
-                ident_err = max(ident_err, abs(f_val - rec.weights[i]) / rec.weights[i])
+            # f_N(tau), the sum of pair weights over every second walk
+            f_n = exact_engine.tle_enumerate(n, a, b).s1_marginal()
+            marg_err = float(np.max(np.abs(f_n / f_n.sum() - probs)))
+            ident_err = float(np.max(np.abs(f_n - rec.weights) / rec.weights))
             mat = exact_engine.stationary_weights_matrix(n, a, b)
             mat_err = float(np.max(np.abs(mat.weights - rec.weights) / rec.weights))
             params = params_from_ab(a, b)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg
+import scipy.sparse.linalg
 
 from .core import DomainError, NumericConsistencyError, ResourceLimitError
 from .rng import stream
 from . import textio
 
 GENERATOR_CAP = 12
-DENSE_SOLVE_CAP = 10        # dense direct solve up to 2^10 states
 STATIONARY_RESIDUAL = 1e-11
 
 
@@ -71,60 +70,20 @@ def build_generator(n: int, alpha: float, beta: float) -> GeneratorMatrix:
 def solve_stationary(gen: GeneratorMatrix) -> np.ndarray:
     """Probability vector pi with pi Q = 0 and sum(pi) = 1.
 
-    Dense direct solve (one balance equation replaced by normalization) up to
-    2^10 states; power iteration on the uniformized chain above that.
+    One sparse direct solve of Q^T pi = 0 with the last balance equation
+    replaced by the normalization.
     """
     size = gen.q.shape[0]
-    if gen.n_sites <= DENSE_SOLVE_CAP:
-        mat = gen.q.toarray().T.copy()
-        mat[-1, :] = 1.0
-        rhs = np.zeros(size)
-        rhs[-1] = 1.0
-        pi = scipy.linalg.solve(mat, rhs)
-    else:
-        pi = _stationary_power_iteration(gen.q)
+    mat = sp.vstack([gen.q.T[:-1], np.ones((1, size))], format="csc")
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    pi = scipy.sparse.linalg.spsolve(mat, rhs)
     residual = float(np.max(np.abs(pi @ gen.q)))
     if residual > STATIONARY_RESIDUAL or not (pi > 0).all():
         raise NumericConsistencyError(
             f"stationary solve failed: residual {residual:g}, min component {pi.min():g}"
         )
     return pi
-
-
-def _stationary_power_iteration(q: sp.csr_matrix, max_iter: int = 500_000) -> np.ndarray:
-    lam = 1.01 * float(np.max(-q.diagonal()))
-    p = sp.identity(q.shape[0], format="csr") + q / lam
-    pi = np.full(q.shape[0], 1.0 / q.shape[0])
-    for it in range(max_iter):
-        pi = pi @ p
-        if it % 64 == 0:
-            pi /= pi.sum()
-            if np.max(np.abs(pi @ q)) <= STATIONARY_RESIDUAL:
-                break
-    pi /= pi.sum()
-    return pi
-
-
-def _event_table(n: int, alpha: float, beta: float) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Per-state event lists: (cumulative rates, successor states, total rate)."""
-    size = 1 << n
-    top = 1 << (n - 1)
-    table = []
-    for i in range(size):
-        rates, nxt = [], []
-        if not i & 1:
-            rates.append(alpha)
-            nxt.append(i | 1)
-        if i & top:
-            rates.append(beta)
-            nxt.append(i & ~top)
-        for p in range(n - 1):
-            if (i >> p) & 3 == 1:
-                rates.append(1.0)
-                nxt.append(i ^ (3 << p))
-        cum = np.cumsum(rates)
-        table.append((cum, np.array(nxt, dtype=np.int64), float(cum[-1]) if len(rates) else 0.0))
-    return table
 
 
 def kmc_sample(
@@ -147,29 +106,28 @@ def kmc_sample(
         raise DomainError("burn_in and thin must be positive")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    for name, rate in (("alpha", alpha), ("beta", beta)):
-        if not (0.0 < rate < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
+    # successors and rates of state i: off-diagonal CSR row i of the generator
+    q = build_generator(n, alpha, beta).q
+    q.setdiag(0.0)
+    q.eliminate_zeros()
+    cum_rates = [np.cumsum(q.data[q.indptr[i]:q.indptr[i + 1]]) for i in range(1 << n)]
     rng = stream(seed, 0)
-    events = _event_table(n, alpha, beta)
     out = np.empty((n_samples, n), dtype=np.uint8)
     state = 0
     t = 0.0
     k = 0
     next_record = burn_in
     while k < n_samples:
-        cum, nxt, total = events[state]
-        if total == 0.0:  # unreachable for valid rates, but keep it safe
-            t = next_record
-        else:
-            t += rng.exponential(1.0 / total)
+        cum = cum_rates[state]
+        t += rng.exponential(1.0 / cum[-1])
         while k < n_samples and next_record <= t:
             for j in range(n):
                 out[k, j] = (state >> j) & 1
             k += 1
             next_record = burn_in + k * thin
-        if total > 0.0 and k < n_samples:
-            state = int(nxt[np.searchsorted(cum, rng.uniform(0.0, total), side="right")])
+        if k < n_samples:
+            event = np.searchsorted(cum, rng.uniform(0.0, cum[-1]), side="right")
+            state = int(q.indices[q.indptr[state] + event])
     return out
 
 

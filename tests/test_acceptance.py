@@ -23,7 +23,7 @@ from opentasep.rng import stream
 
 from conftest import iid_tv_reference, record_criterion, sampler_path_law
 
-GRID = [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+GRID = [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0), (0.3, 0.45), (1.3, 1.7)]
 
 
 def test_criterion_1_marginal_vs_generator():
@@ -37,7 +37,7 @@ def test_criterion_1_marginal_vs_generator():
             pi = ot.solve_stationary(ot.build_generator(n, params.alpha, params.beta))
             worst = max(worst, float(np.max(np.abs(marginal - pi))))
     passed = worst <= 1e-10
-    record_criterion("C1 two-line marginal vs generator law (N<=8, 5 points)",
+    record_criterion("C1 two-line marginal vs generator law (N<=8, 7 points)",
                      passed, f"max abs error {worst:.2e} <= 1e-10", t0)
     assert passed
 

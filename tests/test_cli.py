@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from opentasep import markov_oracle, two_line_sampler
 from opentasep.cli import main
 
 
@@ -86,10 +87,20 @@ class TestVerify:
         assert all(isinstance(c["marginal_max_abs_error"], float)
                    for c in payload["checks"])
 
-    def test_injected_corruption_fails(self, capsys, tmp_path):
+    def test_injected_corruption_fails(self, capsys, tmp_path, monkeypatch):
+        solve = markov_oracle.solve_stationary
+        monkeypatch.setattr(markov_oracle, "solve_stationary",
+                            lambda gen: solve(gen) * (1.0 + 1e-3))
         code, _, err = run(capsys, "verify", "--n-max", "2",
-                           "--out", str(tmp_path / "r.json"), "--inject-error")
+                           "--out", str(tmp_path / "r.json"))
         assert code == 4
+
+    def test_n_max_11_passes(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, _, _ = run(capsys, "verify", "--n-max", "11", "--out", str(report))
+        payload = json.loads(report.read_text())
+        assert code == 0
+        assert payload["passed"] is True
 
 
 class TestSample:
@@ -196,6 +207,29 @@ class TestConfigFile:
         cfg.write_text("nonsense without equals\n")
         code, _, err = run(capsys, "--config", str(cfg), "phase", "--a", "1", "--b", "1")
         assert code == 1
+
+    def test_threads_key_acts_like_flag(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        sample = two_line_sampler.sample_two_line
+
+        def recording(table, count, seed, threads=1):
+            seen.append(threads)
+            return sample(table, count, seed, threads=threads)
+
+        monkeypatch.setattr(two_line_sampler, "sample_two_line", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\nn = 8\na = 1\nb = 1\n")
+        argv = ("sample", "--count", "10", "--seed", "1", "--out", str(tmp_path / "s.csv"))
+        assert run(capsys, "--config", str(cfg), *argv)[0] == 0
+        assert run(capsys, "--threads", "1", "--config", str(cfg), *argv)[0] == 0
+        assert seen == [2, 1]
+
+    def test_config_after_command(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 2\nb = 1\n")
+        code, out, _ = run(capsys, "phase", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["region"] == "LD"
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.cfg", "phase",

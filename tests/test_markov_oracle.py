@@ -65,12 +65,19 @@ class TestStationarySolve:
             assert np.max(np.abs(pi - rec.probabilities())) <= 1e-10
 
     def test_power_iteration_path(self):
-        # n = 11 exceeds the dense cap and goes through uniformization
+        # a small residual alone does not bound the error: the removed power-
+        # iteration solver met it at N = 11, 12 with errors up to 2e-10
         p = params_from_ab(2.0, 1.0)
         gen = build_generator(11, p.alpha, p.beta)
         pi = solve_stationary(gen)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(pi @ gen.q)) <= 1e-11
+        for a, b in [(2.0, 1.0), (1.0, 3.0), (3.0, 3.0)]:
+            p = params_from_ab(a, b)
+            for n in (11, 12):
+                pi = solve_stationary(build_generator(n, p.alpha, p.beta))
+                rec = stationary_weights_recursive(n, a, b)
+                assert np.max(np.abs(pi - rec.probabilities())) <= 1e-12
 
 
 class TestKmc:
@@ -110,6 +117,12 @@ class TestKmc:
             kmc_sample(2, 0.5, 0.5, burn_in=0.0, n_samples=10, thin=1.0, seed=1)
         with pytest.raises(DomainError):
             kmc_sample(2, 0.5, 0.5, burn_in=1.0, n_samples=10, thin=-1.0, seed=1)
+
+    def test_shares_generator_cap(self):
+        with pytest.raises(ResourceLimitError):
+            kmc_sample(13, 0.5, 0.5, burn_in=1.0, n_samples=10, thin=1.0, seed=1)
+        with pytest.raises(DomainError):
+            kmc_sample(2, 1.5, 0.5, burn_in=1.0, n_samples=10, thin=1.0, seed=1)
 
 
 class TestEmission:
