@@ -350,21 +350,17 @@ def cmd_fluct(args) -> int:
     tle_path = os.path.join(args.out, "tle_w1.csv")
     wminus_path = os.path.join(args.out, "tle_wminus.csv")
     limit_path = os.path.join(args.out, "limit.csv")
-    textio.write_csv(
-        tle_path, ["x", "sample_id", "value"],
-        ((x, i, float(scaled.w1[i, j]))
-         for j, x in enumerate(cfg.mesh) for i in range(args.count)),
-    )
-    textio.write_csv(
-        wminus_path, ["x", "sample_id", "value"],
-        ((x, i, float(scaled.w_minus[i, j]))
-         for j, x in enumerate(cfg.mesh) for i in range(args.count)),
-    )
+    for path, values in ((tle_path, scaled.w1), (wminus_path, scaled.w_minus)):
+        textio.write_csv(
+            path, ["x", "sample_id", "value"],
+            ((x, i, value) for x, column in zip(cfg.mesh, values.T)
+             for i, value in enumerate(column.tolist())),
+        )
     textio.write_csv(
         limit_path,
         ["sample_id", "weight"] + [f"value_at_{x}" for x in cfg.mesh],
-        ((i, float(ens.weights[i])) + tuple(float(v) for v in ens.omega_mesh[i])
-         for i in range(ens.count)),
+        ([i, w] + row.tolist()
+         for i, (w, row) in enumerate(zip(ens.weights.tolist(), ens.omega_mesh))),
     )
     per_mesh = {}
     for j, x in enumerate(cfg.mesh):

@@ -109,12 +109,10 @@ class WeightTable:
     def write_csv(self, path) -> None:
         n = self.n_sites
         header = [f"tau_{j}" for j in range(1, n + 1)] + ["weight", "probability"]
-        z = float(self.z)
-        rows = (
-            list(self.config(i)) + [float(self.weights[i]), float(self.weights[i]) / z]
-            for i in range(1 << n)
-        )
-        textio.write_csv(path, header, rows)
+        weights = self.weights.astype(float)
+        rows = zip(np.diff(all_height_paths(n), axis=1).tolist(), weights.tolist(),
+                   (weights / float(self.z)).tolist())
+        textio.write_csv(path, header, (bits + [w, p] for bits, w, p in rows))
 
 
 @dataclass(frozen=True)
@@ -153,16 +151,14 @@ class TwoLineTable:
             + [f"s2_{j}" for j in range(1, n + 1)]
             + ["weight", "probability"]
         )
+        bits = np.diff(all_height_paths(n), axis=1).tolist()
         total = self.joint.sum()
-
-        def rows():
-            for i in range(1 << n):
-                bits_i = config_bits(i, n)
-                for j in range(1 << n):
-                    w = float(self.joint[i, j])
-                    yield list(bits_i) + list(config_bits(j, n)) + [w, w / total]
-
-        textio.write_csv(path, header, rows())
+        rows = (
+            bits[i] + bits[j] + [w, p]
+            for i, row in enumerate(self.joint)
+            for j, (w, p) in enumerate(zip(row.tolist(), (row / total).tolist()))
+        )
+        textio.write_csv(path, header, rows)
 
 
 def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTable:

@@ -331,7 +331,6 @@ class _MeshObjective:
         # overlap of [0, X_t] with cell i, as a (mesh, npts) matrix
         cells = np.arange(mesh)[:, None]
         self.overlap = np.clip(self.X[None, :] - cells * self.width, 0.0, self.width)
-        self.h_w = self.width
 
     def set_slopes(self, s: np.ndarray) -> None:
         self.s = np.asarray(s, dtype=float).copy()
@@ -342,7 +341,7 @@ class _MeshObjective:
 
     def value(self) -> float:
         return (
-            float(self.h_terms.sum() * self.h_w)
+            float(self.h_terms.sum() * self.width)
             + self.log_ab * float(self.D.min())
             - self.log_b * (self.f1 - self.g1)
         )
@@ -353,7 +352,7 @@ class _MeshObjective:
         d_cand = self.D[None, :] + delta[:, None] * self.overlap[i][None, :]
         mins = d_cand.min(axis=1)
         h_cand = np.array([entropy_h(min(max(v, 0.0), 1.0)) for v in candidates])
-        h_total = (self.h_terms.sum() - self.h_terms[i] + h_cand) * self.h_w
+        h_total = (self.h_terms.sum() - self.h_terms[i] + h_cand) * self.width
         g1_cand = self.g1 + (candidates - self.s[i]) * self.width
         return h_total + self.log_ab * mins - self.log_b * (self.f1 - g1_cand)
 
@@ -377,7 +376,6 @@ def _coordinate_descent(obj: _MeshObjective, s0: np.ndarray,
     obj.set_slopes(np.clip(s0, 0.0, 1.0))
     best = obj.value()
     for _ in range(sweeps):
-        improved = 0.0
         for i in range(obj.mesh):
             lo, hi = 0.0, 1.0
             cur = obj.s[i]

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .core import DomainError, NumericConsistencyError, ResourceLimitError
+from .exact_engine import all_height_paths
 from .rng import stream
 from . import textio
 
@@ -34,6 +33,8 @@ class GeneratorMatrix:
 
 
 def build_generator(n: int, alpha: float, beta: float) -> GeneratorMatrix:
+    import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
+
     if not 1 <= n <= GENERATOR_CAP:
         raise ResourceLimitError(f"n={n} outside supported range 1..{GENERATOR_CAP}")
     for name, rate in (("alpha", alpha), ("beta", beta)):
@@ -73,6 +74,9 @@ def solve_stationary(gen: GeneratorMatrix) -> np.ndarray:
     One sparse direct solve of Q^T pi = 0 with the last balance equation
     replaced by the normalization.
     """
+    import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
+    import scipy.sparse.linalg
+
     size = gen.q.shape[0]
     mat = sp.vstack([gen.q.T[:-1], np.ones((1, size))], format="csc")
     rhs = np.zeros(size)
@@ -142,17 +146,14 @@ def empirical_distribution(samples: np.ndarray) -> np.ndarray:
 def write_stationary_csv(pi: np.ndarray, n: int, path) -> None:
     """Emit a probability vector indexed by configuration bits."""
     header = [f"tau_{j}" for j in range(1, n + 1)] + ["probability"]
-    rows = (
-        [(i >> j) & 1 for j in range(n)] + [float(pi[i])]
-        for i in range(1 << n)
-    )
-    textio.write_csv(path, header, rows)
+    rows = zip(np.diff(all_height_paths(n), axis=1).tolist(), pi.tolist())
+    textio.write_csv(path, header, (bits + [p] for bits, p in rows))
 
 
 def write_kmc_csv(samples: np.ndarray, burn_in: float, thin: float, path) -> None:
     """Emit KMC snapshots as (time, bit-string) rows."""
     rows = (
-        (burn_in + k * thin, "".join(str(int(bit)) for bit in samples[k]))
-        for k in range(samples.shape[0])
+        (burn_in + k * thin, "".join(map(str, bits)))
+        for k, bits in enumerate(samples.tolist())
     )
     textio.write_csv(path, ["time", "configuration"], rows)

@@ -10,23 +10,13 @@ import json
 from typing import Iterable, Sequence
 
 
-def fmt(value) -> str:
-    """Render a cell: floats via shortest round-trip repr, ints plainly."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        # repr of the plain float, not of numpy float subclasses
-        return repr(float(value))
-    if hasattr(value, "item"):  # numpy scalar
-        return fmt(value.item())
-    return str(value)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows of Python ints, floats and strs (as ndarray.tolist() gives
+    them); str of a float is its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(cell) for cell in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_json(path, payload: dict) -> None:

@@ -171,7 +171,7 @@ class SamplePaths:
         n = self.n_sites
         header = [f"s1_{j}" for j in range(1, n + 1)] + [f"s2_{j}" for j in range(1, n + 1)]
         d1, d2 = self.increments()
-        rows = (list(d1[i]) + list(d2[i]) for i in range(self.count))
+        rows = (d1[i].tolist() + d2[i].tolist() for i in range(self.count))
         textio.write_csv(path, header, rows)
 
     def write_binary(self, path) -> None:
@@ -230,17 +230,11 @@ def _sample_chunk(table: PartitionTable, count: int, rng, record,
 
 
 def _run_chunks(table, count, seed, record, want_paths, threads):
-    jobs = []
-    start = 0
-    idx = 0
-    while start < count:
-        size = min(CHUNK, count - start)
-        jobs.append((idx, size))
-        start += size
-        idx += 1
+    jobs = list(enumerate(range(0, count, CHUNK)))
 
     def run(job):
-        i, size = job
+        i, start = job
+        size = min(CHUNK, count - start)
         return _sample_chunk(table, size, stream(seed, i), record, want_paths)
 
     if threads > 1 and len(jobs) > 1:
@@ -338,5 +332,4 @@ def height_endpoint_distribution(n: int, a: float, b: float) -> np.ndarray:
 
 def write_endpoint_csv(distribution: np.ndarray, path) -> None:
     """Emit an endpoint law as (k, probability) rows."""
-    rows = ((k, float(p)) for k, p in enumerate(distribution))
-    textio.write_csv(path, ["k", "probability"], rows)
+    textio.write_csv(path, ["k", "probability"], enumerate(distribution.tolist()))

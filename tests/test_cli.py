@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from opentasep import markov_oracle, two_line_sampler
+import opentasep
+from opentasep import fluctuations, markov_oracle, two_line_sampler
 from opentasep.cli import main
 
 
@@ -11,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_does_not_load_scipy():
+    # only the Markov oracle needs SciPy; other commands must not pay its import
+    code = "import opentasep.cli, sys; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(opentasep.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestPhase:
@@ -148,6 +161,22 @@ class TestFluct:
         csv1 = (tmp_path / "f1" / "tle_w1.csv").read_bytes()
         csv2 = (tmp_path / "f2" / "tle_w1.csv").read_bytes()
         assert csv1 == csv2
+
+    def test_w1_csv_rows_are_mesh_major(self, capsys, tmp_path):
+        count, seed = 300, 7
+        code, _, _ = run(capsys, "fluct", "--u", "1", "--v", "-0.5", "--n", "128",
+                         "--count", str(count), "--limit-count", "600",
+                         "--n-steps", "128", "--seed", str(seed), "--out", str(tmp_path))
+        assert code == 0
+        cfg = fluctuations.ScalingConfig(u=1.0, v=-0.5, n=128)
+        w1 = fluctuations.sample_scaled_processes(cfg, count, seed).w1
+        lines = (tmp_path / "tle_w1.csv").read_text().splitlines()
+        assert lines[0] == "x,sample_id,value"
+        assert len(lines) == 1 + len(cfg.mesh) * count
+        for j, x in enumerate(cfg.mesh):
+            for i in range(count):
+                cells = lines[1 + j * count + i].split(",")
+                assert (float(cells[0]), int(cells[1]), float(cells[2])) == (x, i, w1[i, j])
 
 
 class TestLdp:

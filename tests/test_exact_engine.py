@@ -9,6 +9,7 @@ from opentasep import (
     NumericConsistencyError,
     ResourceLimitError,
     f_n_enumerate,
+    height_from_occupation,
     log_c_growth_rate,
     stationary_weights_matrix,
     stationary_weights_recursive,
@@ -218,6 +219,13 @@ class TestSerialization:
         assert len(lines) == 5
         cells = lines[1].split(",")
         assert float(cells[2]) == t[(0, 0)]
+        # rows in configuration-index order, tau_1 first
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            bits = tuple(int(c) for c in cells[:2])
+            assert bits == config_bits(i, 2)
+            assert float(cells[2]) == t[bits] == t.weights[i]
+            assert float(cells[3]) == t.weights[i] / t.z
         assert t.summary() == {"n_sites": 2, "a": 2.0, "b": 1.0, "z": pytest.approx(t.z)}
 
     def test_two_line_table_csv(self, tmp_path):
@@ -229,3 +237,20 @@ class TestSerialization:
         assert len(lines) == 5
         weights = sorted(float(row.split(",")[2]) for row in lines[1:])
         assert weights == pytest.approx([1.0, 1.0, 1.0, 2.0])
+        # at N = 2, rows run i-major over the pair (i, j) of increment bitmasks
+        a, b = 0.3, 0.45
+        t = tle_enumerate(2, a, b)
+        t.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "s1_1,s1_2,s2_1,s2_2,weight,probability"
+        assert len(lines) == 17
+        total = t.joint.sum()
+        for k, line in enumerate(lines[1:]):
+            i, j = divmod(k, 4)
+            cells = line.split(",")
+            s1 = tuple(int(c) for c in cells[:2])
+            s2 = tuple(int(c) for c in cells[2:4])
+            assert (s1, s2) == (config_bits(i, 2), config_bits(j, 2))
+            w = two_line_weight(height_from_occupation(s1), height_from_occupation(s2), a, b)
+            assert float(cells[4]) == t.joint[i, j] == pytest.approx(w, rel=1e-12)
+            assert float(cells[5]) == t.joint[i, j] / total

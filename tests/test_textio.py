@@ -4,22 +4,31 @@ from opentasep import textio
 from opentasep.rng import stream
 
 
-def test_float_cells_round_trip():
+def _cells(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_float_cells_round_trip(tmp_path):
     rng = stream(99, 0)
     vals = np.concatenate([
         rng.normal(size=200),
         rng.uniform(-1e300, 1e300, size=50),
         [0.0, 1.0, -1.0, 1e-308, np.pi],
     ])
-    for v in vals:
-        assert float(textio.fmt(float(v))) == float(v)
+    path = tmp_path / "f.csv"
+    textio.write_csv(path, ["v"], ([v] for v in vals.tolist()))
+    cells = [float(row[0]) for row in _cells(path)]
+    assert len(cells) == vals.size
+    for got, want in zip(cells, vals):
+        assert got == want
 
 
-def test_numpy_scalars_and_ints():
-    assert textio.fmt(np.float64(0.1)) == "0.1"
-    assert textio.fmt(np.int64(7)) == "7"
-    assert textio.fmt(3) == "3"
-    assert textio.fmt(True) == "1"
+def test_numpy_scalars_and_ints(tmp_path):
+    path = tmp_path / "n.csv"
+    row = np.array([0.1]).tolist() + np.array([7], dtype=np.int64).tolist() + [3]
+    extremes = [1e16, 1e-05, -0.0, 5e-324, "0101"]
+    textio.write_csv(path, ["x", "k", "i"], [row, extremes])
+    assert _cells(path) == [["0.1", "7", "3"], ["1e+16", "1e-05", "-0.0", "5e-324", "0101"]]
 
 
 def test_write_csv_lf_and_header(tmp_path):
