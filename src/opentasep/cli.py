@@ -138,7 +138,8 @@ def build_parser() -> _Parser:
     _add_param_options(pr)
     pr.add_argument("--variational", action="store_true",
                     help="also run the mesh minimization")
-    pr.add_argument("--mesh", type=int, default=200)
+    pr.add_argument("--mesh", type=int, default=200,
+                    help="variational mesh: uniform cells, plus the profile's knots")
     pr.add_argument("--out", default=None, help="optional JSON output path")
 
     pd = lsub.add_parser("density", help="mean-density rate function")
@@ -385,16 +386,23 @@ def cmd_fluct(args) -> int:
 
 def _load_profile(path: str) -> ldp.Profile:
     xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if parts[0].strip().lower() in ("x", "knot"):
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read profile: {exc}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if parts[0].strip().lower() in ("x", "knot"):
+            continue
+        try:
             xs.append(float(parts[0]))
             ys.append(float(parts[1]))
+        except (IndexError, ValueError):
+            raise UsageError(f"bad profile line, expected x,f(x): {line!r}")
     return ldp.Profile(tuple(xs), tuple(ys))
 
 
@@ -416,9 +424,7 @@ def cmd_ldp(args) -> int:
         }
         if args.variational:
             var = ldp.rate_height_variational(f, params.a, params.b, mesh=args.mesh)
-            payload["variational"] = {
-                "rate": var.rate, "candidates": var.candidates, "gap": var.gap,
-            }
+            payload["variational"] = {"rate": var.rate, "gap": var.gap}
         _emit(payload, args.out)
         return EXIT_OK
     if args.ldp_command == "density":

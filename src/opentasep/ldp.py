@@ -18,18 +18,29 @@ the clamped slope profile G_*).  All integrals and minima are evaluated
 exactly on piecewise-linear and step inputs by summation over breakpoint
 intervals; min(f - g) is evaluated at knots, which is exact for
 piecewise-linear f - g.
+
+rate_height_variational checks the closed forms independently: it minimizes
+J_upper exactly over g piecewise linear on a mesh X (a uniform grid joined
+with the knots of f, so the mesh minimum is the continuum one).  A cell of
+width w and slope s adds w (h(s) - c s), minimized at s = sigmoid(c) with
+value -w softplus(c).  With D = f - g on X, the shock half swaps
+log(ab) min_t D_t = min_t log(ab) D_t, after which the cells separate for
+each t.  The fan half maximizes over probability vectors mu on X the
+concave dual -sum_i w_i softplus(z_i) - lam mu.f(X) - log(b) f(1), where
+lam = -log(ab), z_i = -lam M_i - log b and M_i is the mu-mass at points
+>= X_{i+1}; its gradient is lam (g_mu(X) - f(X)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     DomainError,
+    ResourceLimitError,
     entropy_h,
     fan_region_K,
     normalization_K,
@@ -37,10 +48,10 @@ from .core import (
     relative_entropy,
     shock_region_K,
 )
-from .rng import stream
 from .two_line_sampler import _endpoint_log_pmf
 
 SLOPE_TOL = 1e-9  # slopes within this of [0, 1] count as admissible
+MESH_CAP = 10**6  # largest mesh of rate_height_variational (~10 arrays of mesh doubles)
 
 
 @dataclass(frozen=True)
@@ -71,13 +82,6 @@ class Profile:
     @classmethod
     def linear(cls, r: float) -> "Profile":
         return cls((0.0, 1.0), (0.0, float(r)))
-
-    @classmethod
-    def from_slopes(cls, slopes: Sequence[float]) -> "Profile":
-        slopes = np.asarray(slopes, dtype=float)
-        knots = np.linspace(0.0, 1.0, slopes.size + 1)
-        values = np.concatenate([[0.0], np.cumsum(slopes) / slopes.size])
-        return cls(tuple(knots), tuple(values))
 
     @property
     def slopes(self) -> np.ndarray:
@@ -309,186 +313,102 @@ def rate_height_closed(f: Profile, a: float, b: float) -> float:
     return rate_height_report(f, a, b).rate
 
 
-class _MeshObjective:
-    """Exact evaluator of J_upper(f, g) for g piecewise linear on a uniform
-    mesh, with incremental coordinate updates.
-
-    State: slope vector s (one slope per cell), difference values
-    D_t = f(X_t) - g(X_t) on the merged evaluation points X (mesh nodes plus
-    the knots of f), and the endpoint g(1).
-    """
-
-    def __init__(self, f: Profile, a: float, b: float, mesh: int):
-        self.f = f
-        self.mesh = mesh
-        self.log_ab = math.log(a * b)
-        self.log_b = math.log(b)
-        self.width = 1.0 / mesh
-        grid = np.linspace(0.0, 1.0, mesh + 1)
-        self.X = np.union1d(grid, np.asarray(f.knots))
-        self.fX = f.at(self.X)
-        self.f1 = f.endpoint()
-        # overlap of [0, X_t] with cell i, as a (mesh, npts) matrix
-        cells = np.arange(mesh)[:, None]
-        self.overlap = np.clip(self.X[None, :] - cells * self.width, 0.0, self.width)
-
-    def set_slopes(self, s: np.ndarray) -> None:
-        self.s = np.asarray(s, dtype=float).copy()
-        gX = self.s @ self.overlap
-        self.D = self.fX - gX
-        self.g1 = float(self.s.sum() * self.width)
-        self.h_terms = np.array([entropy_h(min(max(v, 0.0), 1.0)) for v in self.s])
-
-    def value(self) -> float:
-        return (
-            float(self.h_terms.sum() * self.width)
-            + self.log_ab * float(self.D.min())
-            - self.log_b * (self.f1 - self.g1)
-        )
-
-    def coordinate_best(self, i: int, candidates: np.ndarray) -> float:
-        """Objective value for each candidate slope of cell i."""
-        delta = self.s[i] - candidates  # D shifts by +delta * overlap
-        d_cand = self.D[None, :] + delta[:, None] * self.overlap[i][None, :]
-        mins = d_cand.min(axis=1)
-        h_cand = np.array([entropy_h(min(max(v, 0.0), 1.0)) for v in candidates])
-        h_total = (self.h_terms.sum() - self.h_terms[i] + h_cand) * self.width
-        g1_cand = self.g1 + (candidates - self.s[i]) * self.width
-        return h_total + self.log_ab * mins - self.log_b * (self.f1 - g1_cand)
-
-    def update(self, i: int, new: float) -> None:
-        delta = self.s[i] - new
-        self.D += delta * self.overlap[i]
-        self.g1 += (new - self.s[i]) * self.width
-        self.h_terms[i] = entropy_h(min(max(new, 0.0), 1.0))
-        self.s[i] = new
-
-
-def _coordinate_descent(obj: _MeshObjective, s0: np.ndarray,
-                        sweeps: int = 40, levels: int = 3, fan: int = 13) -> float:
-    """Cyclic coordinate descent with per-coordinate nested grid refinement.
-
-    The minimum-difference term is piecewise linear (and nonsmooth) in each
-    slope, so the 1D subproblems are solved by direct candidate evaluation
-    instead of derivative steps; min ties resolve to the leftmost attaining
-    evaluation point inside _MeshObjective.
-    """
-    obj.set_slopes(np.clip(s0, 0.0, 1.0))
-    best = obj.value()
-    for _ in range(sweeps):
-        for i in range(obj.mesh):
-            lo, hi = 0.0, 1.0
-            cur = obj.s[i]
-            for _level in range(levels):
-                cands = np.linspace(lo, hi, fan)
-                cands = np.append(cands, cur)
-                vals = obj.coordinate_best(i, cands)
-                k = int(np.argmin(vals))
-                cur = float(cands[k])
-                span = (hi - lo) / (fan - 1)
-                lo, hi = max(0.0, cur - span), min(1.0, cur + span)
-            if cur != obj.s[i]:
-                obj.update(i, cur)
-        val = obj.value()
-        improved = best - val
-        best = min(best, val)
-        if improved < 1e-12:
-            break
-    return best
-
-
 @dataclass(frozen=True)
 class VariationalResult:
-    """Outcome of the numerical minimization of J_upper over second lines.
-
-    candidates holds the per-strategy values; gap is their spread (a
-    convergence diagnostic, small when every strategy found the optimum).
-    """
+    """Mesh minimum of J_upper: the rate at the minimizing second line g_opt,
+    and gap = primal - dual, so the mesh minimum lies in [rate - gap, rate]
+    up to rounding."""
 
     rate: float
-    candidates: dict
     g_opt: Profile
     gap: float
 
 
-def _structured_shock_value(f: Profile, a: float, b: float):
-    """Exact minimum of J_upper over the two-piece family g_y with
-    g_y(y) = a y/(1+a) and g_y(1) = g_y(y) + (1-y)/(1+b)."""
-    def at(y: float) -> float:
-        return J_upper(f, _structured_profile(y, a, b), a, b)
-
-    ys = sorted(set(list(f.knots) + np.linspace(0.0, 1.0, 257).tolist()))
-    vals = [at(y) for y in ys]
-    i = int(np.argmin(vals))
-    best_val, best_y = vals[i], ys[i]
-    lo = ys[max(0, i - 1)]
-    hi = ys[min(len(ys) - 1, i + 1)]
-    val, y = _golden_min(at, lo, hi)
-    if val < best_val:
-        best_val, best_y = val, y
-    return best_val, _structured_profile(best_y, a, b)
+def _sigmoid(z):
+    return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _structured_profile(y: float, a: float, b: float) -> Profile:
-    fy = a * y / (1.0 + a)
-    g1 = fy + (1.0 - y) / (1.0 + b)
-    if y <= 0.0:
-        return Profile((0.0, 1.0), (0.0, 1.0 / (1.0 + b)))
-    if y >= 1.0:
-        return Profile((0.0, 1.0), (0.0, a / (1.0 + a)))
-    return Profile((0.0, y, 1.0), (0.0, fy, g1))
+def _mesh_primal(z, w, fX, log_ab, log_b) -> tuple[float, np.ndarray]:
+    """J_upper and g on the mesh for cell slopes sigmoid(z); h(sigmoid(z)) is
+    written sigmoid(z) z - softplus(z), which has no log 0."""
+    s = _sigmoid(z)
+    gX = np.concatenate([[0.0], np.cumsum(w * s)])
+    value = (w @ (s * z - np.logaddexp(0.0, z)) + log_ab * (fX - gX).min()
+             - log_b * (fX[-1] - gX[-1]))
+    return float(value), gX
+
+
+def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[np.ndarray, float]:
+    """Logits of the minimizer, and the minimum, for log ab >= 0: for each
+    point X_t, cells left of it take c = log a and cells right of it -log b."""
+    log_a = log_ab - log_b
+    per_point = (log_ab * fX - X * np.logaddexp(0.0, log_a)
+                 - (1.0 - X) * np.logaddexp(0.0, -log_b) - log_b * fX[-1])
+    t = int(np.argmin(per_point))
+    return np.where(np.arange(w.size) < t, log_a, -log_b), float(per_point[t])
+
+
+_FW_ITERATIONS = 2000   # pairwise Frank-Wolfe cap; the gap is reported either way
+_FW_TOL = 1e-10         # duality gap at which the fan solve stops
+
+
+def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[np.ndarray, float]:
+    """Logits of the Lagrangian minimizer, and the dual value, for log ab < 0.
+    Pairwise Frank-Wolfe (Lacoste-Julien & Jaggi 2015) moves mu-mass from the
+    support point of largest D to the point of smallest D, with an exact line
+    search by bisection on the monotone directional derivative; its gap
+    lam (mu.D - min D) is primal - dual."""
+    lam = -log_ab
+    mu = np.zeros(X.size)
+    mu[int(np.argmin(fX - X * _sigmoid(-log_b)))] = 1.0
+    for iteration in range(_FW_ITERATIONS + 1):
+        z = -lam * np.cumsum(mu[::-1])[::-1][1:] - log_b
+        D = fX - np.concatenate([[0.0], np.cumsum(w * _sigmoid(z))])
+        j = int(np.argmin(D))
+        if lam * (mu @ D - D[j]) <= _FW_TOL or iteration == _FW_ITERATIONS:
+            break
+        support = np.flatnonzero(mu)
+        k = int(support[np.argmax(D[support])])
+        # moving mass gamma from k to j adds -lam sign gamma to z on the cells
+        # between them; lam * slope(gamma) is the dual's directional derivative
+        sign, lo, hi = (1.0, k, j) if j > k else (-1.0, j, k)
+
+        def slope(gamma: float) -> float:
+            return sign * (w[lo:hi] @ _sigmoid(z[lo:hi] - lam * sign * gamma)) - fX[j] + fX[k]
+
+        gamma = mu[k]
+        if slope(gamma) < 0.0:
+            left, right = 0.0, gamma
+            for _ in range(60):
+                mid = 0.5 * (left + right)
+                left, right = (mid, right) if slope(mid) >= 0.0 else (left, mid)
+            gamma = left
+        mu[j] += gamma
+        mu[k] -= gamma
+    return z, float(-(w @ np.logaddexp(0.0, z)) - lam * (mu @ fX) - log_b * fX[-1])
 
 
 def rate_height_variational(f: Profile, a: float, b: float,
-                            mesh: int = 200, multistarts: int = 20,
-                            seed: int = 20240) -> VariationalResult:
-    """Numerical height rate: minimize J_upper over mesh-discretized second
-    lines (warm-started, plus random multistarts); in the shock half the
-    exact two-piece family is evaluated as an additional candidate.
-
-    Returns the best candidate; the solver confirms the closed forms rather
-    than assuming them beyond warm starts.
-    """
+                            mesh: int = 200) -> VariationalResult:
+    """Numerical height rate: the exact minimum of J_upper over second lines
+    piecewise linear on linspace(0, 1, mesh + 1) joined with the knots of f,
+    with its duality gap.  It uses no convex envelope, G_* or y_*, so it
+    checks the closed forms independently."""
     if mesh < 50:
         raise DomainError("mesh must be >= 50")
+    if mesh > MESH_CAP:
+        raise ResourceLimitError(f"mesh={mesh} above the cap {MESH_CAP}")
     hf = entropy_integral(f)
     if math.isinf(hf):
-        return VariationalResult(math.inf, {}, Profile.linear(0.0), 0.0)
-    obj = _MeshObjective(f, a, b, mesh)
-    shift = hf - normalization_K(a, b)
-    candidates: dict[str, float] = {}
-    best_val = math.inf
-    best_g: Profile | None = None
-
-    def consider(name: str, val: float, g: Profile) -> None:
-        nonlocal best_val, best_g
-        candidates[name] = val + shift
-        if val < best_val:
-            best_val = val
-            best_g = g
-
-    grid = np.linspace(0.0, 1.0, mesh + 1)
-    if a * b >= 1.0:
-        struct_val, struct_g = _structured_shock_value(f, a, b)
-        consider("structured", struct_val, struct_g)
-        warm = np.diff(struct_g.at(grid)) * mesh
-    else:
-        g_star = optimal_G(convex_envelope(f), a, b).integral_profile()
-        warm = np.diff(g_star.at(grid)) * mesh
-    val = _coordinate_descent(obj, warm)
-    consider("warm_descent", val, Profile.from_slopes(obj.s))
-    rng = stream(seed, 0)
-    for k in range(multistarts):
-        s0 = rng.uniform(0.0, 1.0, size=mesh)
-        val = _coordinate_descent(obj, s0, sweeps=25)
-        if val < candidates.get("multistart_descent", math.inf) - shift:
-            consider("multistart_descent", val, Profile.from_slopes(obj.s))
-    rate = best_val + shift
-    vals = list(candidates.values())
-    gap = float(max(vals) - min(vals)) if vals else 0.0
-    return VariationalResult(rate=rate, candidates=candidates,
-                             g_opt=best_g if best_g is not None else Profile.linear(0.0),
-                             gap=gap)
+        return VariationalResult(math.inf, Profile.linear(0.0), 0.0)
+    X = np.union1d(np.linspace(0.0, 1.0, mesh + 1), f.knots)
+    w, fX = np.diff(X), f.at(X)
+    log_ab, log_b = math.log(a * b), math.log(b)
+    solve = _shock_mesh_solve if log_ab >= 0.0 else _fan_mesh_solve
+    z, dual = solve(X, w, fX, log_ab, log_b)
+    primal, gX = _mesh_primal(z, w, fX, log_ab, log_b)
+    return VariationalResult(primal + hf - normalization_K(a, b),
+                             Profile(tuple(X), tuple(gX)), primal - dual)
 
 
 def _pav_nondecreasing(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -306,23 +306,8 @@ def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:
         nxt[:-1, :] = np.logaddexp(nxt[:-1, :], cur[1:, :])
         nxt[0, :] = np.logaddexp(nxt[0, :], log_a + cur[0, :])
         cur = nxt
-    weighted = cur + log_b * np.arange(n + 2)[:, None]
-    with np.errstate(invalid="ignore"):
-        log_by_k = _logsumexp_axis0(weighted)
-    total = _logsumexp_1d(log_by_k)
-    return log_by_k - total
-
-
-def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
-    top = arr.max(axis=0)
-    safe = np.where(np.isfinite(top), top, 0.0)
-    out = safe + np.log(np.exp(arr - safe).sum(axis=0))
-    return np.where(np.isfinite(top), out, -np.inf)
-
-
-def _logsumexp_1d(arr: np.ndarray) -> float:
-    top = float(arr.max())
-    return top + math.log(float(np.exp(arr - top).sum()))
+    log_by_k = np.logaddexp.reduce(cur + log_b * np.arange(n + 2)[:, None], axis=0)
+    return log_by_k - np.logaddexp.reduce(log_by_k)
 
 
 def height_endpoint_distribution(n: int, a: float, b: float) -> np.ndarray:

@@ -199,6 +199,25 @@ class TestLdp:
         payload = json.loads(out)
         assert abs(payload["variational"]["rate"] - payload["rate"]) <= 1e-3
 
+    def test_mesh_cap(self, capsys, tmp_path):
+        prof = tmp_path / "f.csv"
+        prof.write_text("x,f\n0,0\n1,0.5\n")
+        code, _, err = run(capsys, "ldp", "rate", "--profile", str(prof), "--a", "0.5",
+                           "--b", "0.5", "--variational", "--mesh", "10000000")
+        assert code == 3
+        assert err.startswith("resource error:")
+
+    @pytest.mark.parametrize("text", [None, "x,f\n0\n1,0.5\n", "x,f\n0,0\n1,half\n"],
+                             ids=["missing-file", "one-field", "not-a-number"])
+    def test_malformed_profile_is_usage_error(self, capsys, tmp_path, text):
+        prof = tmp_path / "f.csv"
+        if text is not None:
+            prof.write_text(text)
+        code, _, err = run(capsys, "ldp", "rate", "--profile", str(prof),
+                           "--a", "0.5", "--b", "0.5")
+        assert code == 1
+        assert err.startswith("usage error:")
+
     def test_density(self, capsys):
         code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", "2", "--b", "2")
         payload = json.loads(out)

@@ -378,19 +378,19 @@ class TestVariationalReductions:
 
 class TestHeightRateVariational:
     def test_triple_point_full_profile(self):
-        res = rate_height_variational(Profile.linear(1.0), 1.0, 1.0, multistarts=3)
+        res = rate_height_variational(Profile.linear(1.0), 1.0, 1.0)
         assert abs(res.rate - math.log(2)) <= 1e-3
 
     def test_lln_profile_shock(self):
-        res = rate_height_variational(Profile.linear(1 / 3), 2.0, 2.0, multistarts=3)
+        res = rate_height_variational(Profile.linear(1 / 3), 2.0, 2.0)
         assert abs(res.rate) <= 1e-3
 
     def test_fan_kinked_profile(self):
         f = Profile((0.0, 0.5, 1.0), (0.0, 0.5, 0.5))
-        res = rate_height_variational(f, 0.5, 0.5, multistarts=3)
+        res = rate_height_variational(f, 0.5, 0.5)
         closed = rate_height_closed(f, 0.5, 0.5)
         assert abs(res.rate - closed) <= 1e-3
-        assert "warm_descent" in res.candidates
+        assert res.gap <= 1e-9
 
     def test_contraction_against_pair_rate(self):
         # the optimizing second line reproduces the variational value through
@@ -398,14 +398,38 @@ class TestHeightRateVariational:
         rng = stream(49, 0)
         for a, b in [(0.5, 0.8), (2.0, 1.5)]:
             f = random_profile(rng, 5)
-            res = rate_height_variational(f, a, b, multistarts=2)
+            res = rate_height_variational(f, a, b)
             pair = rate_two_line(f, res.g_opt, a, b)
             assert abs(pair - res.rate) <= 1e-3
 
     def test_inadmissible_profile(self):
         f = Profile((0.0, 0.5, 1.0), (0.0, 0.75, 0.75))
-        res = rate_height_variational(f, 1.0, 1.0, multistarts=1)
+        res = rate_height_variational(f, 1.0, 1.0)
         assert res.rate == math.inf
+
+    def test_off_grid_knots_match_closed_form(self):
+        # knots off the uniform mesh join it, so the mesh minimum is exact
+        rng = stream(50, 0)
+        for a, b in [(0.5, 0.8), (0.2, 3.0), (1.0, 1.0), (2.0, 1.5)]:
+            for _ in range(3):
+                f = random_profile(rng, int(rng.integers(3, 8)), mesh=997)
+                res = rate_height_variational(f, a, b, mesh=60)
+                assert abs(res.rate - rate_height_closed(f, a, b)) <= 1e-8
+                assert res.gap <= 1e-9
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        import opentasep.ldp as ldp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the variational solve used a closed-form helper")
+
+        f = Profile((0.0, 0.3, 0.7, 1.0), (0.0, 0.25, 0.3, 0.6))
+        expected = {ab: rate_height_closed(f, *ab) for ab in [(0.5, 0.8), (2.0, 1.5)]}
+        for name in ("optimal_G", "convex_envelope", "rate_height_report"):
+            monkeypatch.setattr(ldp, name, forbidden)
+        for (a, b), closed in expected.items():
+            res = rate_height_variational(f, a, b)
+            assert abs(res.rate - closed) <= 1e-8
 
 
 class TestFiniteN:
