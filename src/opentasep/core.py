@@ -206,29 +206,32 @@ def phase_info(a: float, b: float) -> PhaseInfo:
     )
 
 
-def normalization_K(a: float, b: float) -> float:
-    """Additive normalization K(a, b) = log(rho_bar (1 - rho_bar)).
+def _log_k(m: float) -> float:
+    """log(m/(1+m)^2), written so that it neither overflows nor cancels."""
+    return math.log(m) - 2.0 * math.log1p(m)
 
-    Equals the shock-region closed form log((a v b)/(1 + a v b)^2) when
-    ab >= 1 and the fan-region three-case form when ab <= 1.
+
+def normalization_K(a: float, b: float) -> float:
+    """Additive normalization K(a, b) = log(rho_bar (1 - rho_bar)), that is
+    log(m/(1+m)^2) at m = a in LD, b in HD and 1 in MC.  Equals the shock-region
+    closed form when ab >= 1 and the fan-region three-case form when ab <= 1.
     """
-    rho = phase_info(a, b).rho_bar
-    return math.log(rho * (1.0 - rho))
+    region = phase_info(a, b).region
+    return _log_k({"LD": a, "HD": b, "MC": 1.0}[region])
 
 
 def shock_region_K(a: float, b: float) -> float:
     """Closed form log((a v b)/(1 + a v b)^2); valid normalization on ab >= 1."""
-    m = max(a, b)
-    return math.log(m / (1.0 + m) ** 2)
+    return _log_k(max(a, b))
 
 
 def fan_region_K(a: float, b: float) -> float:
     """Three-case closed form valid on ab <= 1 (at most one of a, b exceeds 1)."""
     if a > 1.0:
-        return math.log(a / (1.0 + a) ** 2)
+        return _log_k(a)
     if b > 1.0:
-        return math.log(b / (1.0 + b) ** 2)
-    return -2.0 * math.log(2.0)
+        return _log_k(b)
+    return _log_k(1.0)
 
 
 def log_c_growth_rate(a: float, b: float) -> float:

@@ -69,16 +69,7 @@ def sample_scaled_processes(cfg: ScalingConfig, count: int, seed: int,
     p = params_from_scaling(cfg.u, cfg.v, cfg.n)
     table = build_partition_table(cfg.n, p.a, p.b)
     positions = cfg.positions()
-    live = [k for k in positions if k >= 1]  # position 0 is identically zero
-    s1_live, d_live = sample_functionals(table, count, seed, live, threads=threads)
-    s1 = np.zeros((count, len(positions)), dtype=np.int64)
-    d = np.zeros_like(s1)
-    col = 0
-    for i, k in enumerate(positions):
-        if k >= 1:
-            s1[:, i] = s1_live[:, col]
-            d[:, i] = d_live[:, col]
-            col += 1
+    s1, d = sample_functionals(table, count, seed, positions, threads=threads)
     root = math.sqrt(cfg.n)
     ks = np.array(positions, dtype=float)
     w1 = (2.0 * s1 - ks) / root

@@ -41,6 +41,7 @@ import numpy as np
 from .core import (
     DomainError,
     ResourceLimitError,
+    _log_k,
     entropy_h,
     fan_region_K,
     normalization_K,
@@ -477,17 +478,17 @@ def rate_density(r: float, a: float, b: float) -> float:
     if a * b <= 1.0:
         k = fan_region_K(a, b)
         if r < ra:
-            val = relative_entropy(r, 1.0 / (1.0 + a)) + math.log(a / (1.0 + a) ** 2)
+            val = relative_entropy(r, 1.0 / (1.0 + a)) + _log_k(a)
         elif r > rb:
-            val = relative_entropy(r, b / (1.0 + b)) + math.log(b / (1.0 + b) ** 2)
+            val = relative_entropy(r, b / (1.0 + b)) + _log_k(b)
         else:
             val = 2.0 * relative_entropy(r, 0.5) + math.log(0.25)
         return val - k
     k = shock_region_K(a, b)
     if r <= rb:
-        val = relative_entropy(r, 1.0 / (1.0 + a)) + math.log(a / (1.0 + a) ** 2)
+        val = relative_entropy(r, 1.0 / (1.0 + a)) + _log_k(a)
     elif r >= ra:
-        val = relative_entropy(r, b / (1.0 + b)) + math.log(b / (1.0 + b) ** 2)
+        val = relative_entropy(r, b / (1.0 + b)) + _log_k(b)
     else:
         val = r * math.log(a / b) + math.log(b / ((1.0 + a) * (1.0 + b)))
     return val - k

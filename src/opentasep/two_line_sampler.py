@@ -19,7 +19,10 @@ minimum m) is recovered as V_j(d, m) = -m log a + log L_{N-j}(d - m).
 
 Forward sampling draws the difference increment from the exact conditionals
 L-ratios give, flips a fair coin for the common increment at flat steps, and
-reconstructs both lines.  One sample costs O(N) after the O(N^2) table.
+reconstructs both lines.  One sample costs O(N) after the O(N^2) table.  The
+same walk serves both entry points: it records (s1, s2) at a list of path
+positions, every position 0..N for `sample_two_line` and only the requested
+ones for `sample_functionals`.
 """
 
 from __future__ import annotations
@@ -134,21 +137,6 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
     )
 
 
-def _log_c_plain(n: int, a: float, b: float) -> float:
-    """Plain-double variant of the backward recursion (overflow-prone at
-    large n; kept as an independent cross-check of the log-domain DP)."""
-    row = float(b) ** np.arange(n + 2, dtype=float)
-    for r in range(1, n + 1):
-        width = n - r + 1
-        nxt = np.zeros(n + 2)
-        nxt[1 : width + 1] = (
-            2.0 * row[1 : width + 1] + row[2 : width + 2] + row[0:width]
-        )
-        nxt[0] = (2.0 + a) * row[0] + row[1]
-        row = nxt
-    return math.log(row[0]) - n * math.log(4.0)
-
-
 @dataclass(frozen=True)
 class SamplePaths:
     """Sampled pairs of lattice paths, one row per sample (positions 0..N)."""
@@ -186,24 +174,14 @@ class SamplePaths:
             fh.write(interleaved.tobytes())
 
 
-def _sample_chunk(table: PartitionTable, count: int, rng, record,
-                  want_paths: bool):
-    """Sample `count` pairs; optionally record (s1, d) at selected positions.
-
-    `record` maps path position k (1..N) to an output column index.
-    """
+def _sample_chunk(table: PartitionTable, count: int, rng, positions):
+    """Sample `count` pairs and record (s1, s2) at the given distinct path
+    positions (0..N); returns two (count, len(positions)) int32 arrays."""
     n = table.n_sites
+    cols = {k: i for i, k in enumerate(positions)}
+    out1, out2 = np.zeros((2, count, len(cols)), dtype=np.int32)
     q = np.zeros(count, dtype=np.int64)
-    s1 = np.zeros(count, dtype=np.int64)
-    s2 = np.zeros(count, dtype=np.int64)
-    paths1 = paths2 = None
-    if want_paths:
-        paths1 = np.zeros((count, n + 1), dtype=np.int32)
-        paths2 = np.zeros((count, n + 1), dtype=np.int32)
-    rec_s1 = rec_d = None
-    if record:
-        rec_s1 = np.empty((count, len(record)), dtype=np.int64)
-        rec_d = np.empty((count, len(record)), dtype=np.int64)
+    s1, s2 = np.zeros((2, count), dtype=np.int32)
     for j in range(n):
         r = n - j
         u = rng.random(count)
@@ -213,48 +191,43 @@ def _sample_chunk(table: PartitionTable, count: int, rng, record,
         up = u < p_up
         flat = ~up & (u < p_up + p_flat)
         down = ~up & ~flat
-        tau = up | (flat & coin)
-        xi = down | (flat & coin)
-        s1 += tau
-        s2 += xi
+        s1 += up | (flat & coin)
+        s2 += down | (flat & coin)
         q += up.astype(np.int64) - down.astype(np.int64)
         np.maximum(q, 0, out=q)
-        if want_paths:
-            paths1[:, j + 1] = s1
-            paths2[:, j + 1] = s2
-        if record and (j + 1) in record:
-            col = record[j + 1]
-            rec_s1[:, col] = s1
-            rec_d[:, col] = s1 - s2
-    return paths1, paths2, rec_s1, rec_d
+        col = cols.get(j + 1)
+        if col is not None:
+            out1[:, col] = s1
+            out2[:, col] = s2
+    return out1, out2
 
 
-def _run_chunks(table, count, seed, record, want_paths, threads):
+def _run_chunks(table, count, seed, positions, threads):
+    """(s1, s2) at `positions` for `count` samples; chunk i uses stream
+    (seed, i), so the output is thread-count independent."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
     jobs = list(enumerate(range(0, count, CHUNK)))
 
     def run(job):
         i, start = job
         size = min(CHUNK, count - start)
-        return _sample_chunk(table, size, stream(seed, i), record, want_paths)
+        return _sample_chunk(table, size, stream(seed, i), positions)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]
-    return results
+    return (np.concatenate([r[0] for r in results]),
+            np.concatenate([r[1] for r in results]))
 
 
 def sample_two_line(table: PartitionTable, count: int, seed: int,
                     threads: int = 1) -> SamplePaths:
     """Exact i.i.d. samples from the pair ensemble; deterministic in seed
-    (chunk i uses stream (seed, i), so the output is thread-count independent)."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    results = _run_chunks(table, count, seed, record=None, want_paths=True,
-                          threads=threads)
-    s1 = np.concatenate([r[0] for r in results])
-    s2 = np.concatenate([r[1] for r in results])
+    and independent of the thread count."""
+    s1, s2 = _run_chunks(table, count, seed, range(table.n_sites + 1), threads)
     return SamplePaths(s1=s1, s2=s2)
 
 
@@ -262,22 +235,19 @@ def sample_functionals(table: PartitionTable, count: int, seed: int,
                        positions: list[int], threads: int = 1):
     """Sampled (s1, s1-s2) values at the given path positions only.
 
-    Returns two (count, len(positions)) arrays; avoids materializing full
-    paths, which matters at large N.  Identical streams to sample_two_line.
+    Positions lie in 0..n, in any order and possibly repeated; returns two
+    (count, len(positions)) int32 arrays with columns in the order asked for.
+    Avoids materializing full paths, which matters at large N.  Identical
+    streams to sample_two_line.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
     wanted = [int(k) for k in positions]
-    if any(not 1 <= k <= table.n_sites for k in wanted):
-        raise DomainError("record positions must lie in 1..n")
+    if any(not 0 <= k <= table.n_sites for k in wanted):
+        raise DomainError("record positions must lie in 0..n")
     unique = sorted(set(wanted))
-    record = {k: i for i, k in enumerate(unique)}
-    results = _run_chunks(table, count, seed, record=record, want_paths=False,
-                          threads=threads)
-    s1 = np.concatenate([r[2] for r in results])
-    d = np.concatenate([r[3] for r in results])
-    cols = [record[k] for k in wanted]
-    return s1[:, cols], d[:, cols]
+    s1, s2 = _run_chunks(table, count, seed, unique, threads)
+    cols = [unique.index(k) for k in wanted]
+    s1 = s1[:, cols]
+    return s1, s1 - s2[:, cols]
 
 
 def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:

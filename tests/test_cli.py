@@ -223,6 +223,20 @@ class TestLdp:
         payload = json.loads(out)
         assert abs(payload["rate"]) <= 1e-12
 
+    def test_huge_a_rate_variational(self, capsys, tmp_path):
+        prof = tmp_path / "f.csv"
+        prof.write_text("x,f\n0,0\n0.5,0.5\n1,0.5\n")
+        code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
+                           "--a", "1e200", "--b", "1", "--variational", "--mesh", "60")
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["rate"]) and math.isfinite(payload["variational"]["rate"])
+
+    def test_huge_a_density(self, capsys):
+        code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", "1e200", "--b", "1")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["rate"])
+
     def test_check(self, capsys):
         code, out, _ = run(capsys, "ldp", "check", "--n", "50", "--r", "0.5",
                            "--a", "1", "--b", "1")

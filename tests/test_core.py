@@ -126,6 +126,16 @@ class TestNormalization:
                 if a * b <= 1.0:
                     assert abs(k - fan_region_K(float(a), float(b))) <= 1e-12
 
+    @pytest.mark.parametrize("a,b", [(1e10, 1e12), (1e-12, 1e10), (1e200, 1.0), (1.0, 1e200)])
+    def test_region_forms_at_extreme_parameters(self, a, b):
+        # 1 - rho_bar near 0 and (1 + a)^2 beyond the double range
+        region = shock_region_K(a, b) if a * b >= 1.0 else fan_region_K(a, b)
+        assert math.isfinite(region)
+        assert abs(normalization_K(a, b) - region) <= 1e-15 * abs(region)
+
+    def test_finite_where_rho_bar_rounds_to_one(self):
+        assert math.isfinite(normalization_K(1e-30, 1e20))
+
 
 class TestHeightBijection:
     def test_empty_and_full(self):

@@ -66,6 +66,18 @@ class TestScaledSampling:
         s = sample_scaled_processes(cfg, 2000, seed=5)
         assert np.allclose(s.w1, s.w_plus + s.w_minus, atol=1e-12)
 
+    def test_position_zero_columns(self):
+        # mesh points with floor(xN) = 0 give zero columns, and the other
+        # columns match a run without them (70,000 samples span 3 chunks)
+        mesh = (0.0, 0.004, 0.5, 1.0)
+        s = sample_scaled_processes(ScalingConfig(-1.0, 0.3, 128, mesh=mesh), 70_000,
+                                    seed=9, threads=2)
+        ref = sample_scaled_processes(ScalingConfig(-1.0, 0.3, 128, mesh=(0.5, 1.0)),
+                                      70_000, seed=9)
+        for got, want in ((s.w1, ref.w1), (s.w_minus, ref.w_minus)):
+            assert (got[:, :2] == 0.0).all()
+            assert np.array_equal(got[:, 2:], want)
+
 
 class TestLimitSimulation:
     def test_unit_weights_at_origin(self):
