@@ -149,12 +149,15 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
     omega_mesh = np.empty((count, len(mesh)))
     weights = np.empty(count)
+    buf = np.empty((min(_BLOCK, count), n_steps))
     done = 0
     block_idx = 0
     while done < count:
         size = min(_BLOCK, count - done)
-        rng = stream(seed, block_idx)
-        paths = np.cumsum(rng.normal(0.0, sigma, size=(size, n_steps)), axis=1)
+        paths = buf[:size]
+        stream(seed, block_idx).standard_normal(out=paths)
+        paths *= sigma  # the values rng.normal(0.0, sigma) draws
+        np.cumsum(paths, axis=1, out=paths)
         grid_min = np.minimum(paths.min(axis=1), 0.0)  # grid includes omega(0) = 0
         endpoint = paths[:, -1]
         weights[done : done + size] = np.exp((u + v) * grid_min - v * endpoint)

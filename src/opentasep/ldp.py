@@ -490,7 +490,7 @@ def rate_density(r: float, a: float, b: float) -> float:
     elif r >= ra:
         val = relative_entropy(r, b / (1.0 + b)) + _log_k(b)
     else:
-        val = r * math.log(a / b) + math.log(b / ((1.0 + a) * (1.0 + b)))
+        val = r * (math.log(a) - math.log(b)) + math.log(b) - math.log1p(a) - math.log1p(b)
     return val - k
 
 

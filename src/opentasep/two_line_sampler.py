@@ -39,7 +39,7 @@ from . import textio
 
 BUILD_CAP = 100_000
 ENDPOINT_CAP = 120
-TABLE_BYTES_CAP = 6 * 10 ** 9   # values plus two probability tables, ~24 N^2 bytes
+TABLE_BYTES_CAP = 6 * 10 ** 9   # values plus two probability tables, ~12 N^2 bytes
 CHUNK = 1 << 15
 
 LOG2 = math.log(2.0)
@@ -49,11 +49,11 @@ LOG2 = math.log(2.0)
 class PartitionTable:
     """Backward table of log L_r(q) plus precomputed step conditionals.
 
-    Row r of `log_l` holds log L_r(q) for q = 0..n-r+1 (reachable states plus
-    the lookup margin); unreachable columns are -inf.  `prob_up[r, q]` and
-    `prob_flat[r, q]` are the exact conditional probabilities of difference
-    increment +1 and 0 with r steps remaining; the -1 probability is the
-    remainder.
+    The arrays are packed triangles: row r (r steps remaining) sits at
+    `row(r)` and holds q = 0..n-r+1 (reachable states plus the lookup margin).
+    `log_l[row(r)][q]` is log L_r(q); `prob_up[row(r)][q]` and
+    `prob_flat[row(r)][q]` are the exact conditional probabilities of
+    difference increment +1 and 0 (NaN at r = 0); -1 takes the remainder.
     """
 
     n_sites: int
@@ -63,10 +63,15 @@ class PartitionTable:
     prob_up: np.ndarray
     prob_flat: np.ndarray
 
+    def row(self, r: int) -> slice:
+        """Slice of row r in the packed arrays (widths n+2, n+1, ... from 0)."""
+        start = r * (2 * self.n_sites + 5 - r) // 2
+        return slice(start, start + self.n_sites - r + 2)
+
     @property
     def log_c(self) -> float:
         """log of the normalizing constant sum(weights)/4^N."""
-        return float(self.log_l[self.n_sites, 0]) - self.n_sites * math.log(4.0)
+        return float(self.log_l[self.row(self.n_sites)][0]) - self.n_sites * math.log(4.0)
 
     def value(self, j: int, d: int, m: int) -> float:
         """Log partition value V_j(d, m) over suffixes of a state with
@@ -76,7 +81,7 @@ class PartitionTable:
             raise DomainError(f"step index {j} outside 0..{n}")
         if abs(d) > j or m > min(0, d) or m < -j or d - m > j:
             raise DomainError(f"state (d={d}, m={m}) unreachable at step {j}")
-        return -m * math.log(self.a) + float(self.log_l[n - j, d - m])
+        return -m * math.log(self.a) + float(self.log_l[self.row(n - j)][d - m])
 
 
 def _log_l_rows(n: int, a: float, b: float, log_b: float):
@@ -101,7 +106,7 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
 
     With log_c_only=True only the normalizing constant is computed with O(N)
     memory and the return value is the float log c; otherwise the full table
-    needed for sampling is kept (~24 N^2 bytes).
+    needed for sampling is built one row at a time (~12 N^2 bytes).
     """
     if not 1 <= n <= BUILD_CAP:
         raise ResourceLimitError(f"n={n} outside supported range 1..{BUILD_CAP}")
@@ -115,26 +120,27 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
         for row in _log_l_rows(n, a, b, log_b):
             last = row
         return float(last[0]) - n * math.log(4.0)
-    needed = 24 * (n + 1) * (n + 2)
-    if needed > TABLE_BYTES_CAP:
+    size = (n + 1) * (n + 4) // 2
+    if 24 * size > TABLE_BYTES_CAP:
         raise ResourceLimitError(
-            f"full table for n={n} needs ~{needed / 1e9:.1f} GB; "
+            f"full table for n={n} needs ~{24 * size / 1e9:.1f} GB; "
             "use log_c_only=True or a smaller n"
         )
-    log_l = np.empty((n + 1, n + 2))
-    for r, row in enumerate(_log_l_rows(n, a, b, log_b)):
-        log_l[r] = row
-    # exact step conditionals: P(+1) = L_{r-1}(q+1)/L_r(q), P(0) = 2 L_{r-1}(q)/L_r(q)
-    prob_up = np.full((n + 1, n + 2), np.nan)
-    prob_flat = np.full((n + 1, n + 2), np.nan)
-    with np.errstate(invalid="ignore"):
-        for r in range(1, n + 1):
-            tot = log_l[r]
-            prob_up[r, :-1] = np.exp(log_l[r - 1, 1:] - tot[:-1])
-            prob_flat[r] = np.exp(LOG2 + log_l[r - 1] - tot)
-    return PartitionTable(
+    log_l, prob_up, prob_flat = np.empty((3, size))
+    table = PartitionTable(
         n_sites=n, a=a, b=b, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat
     )
+    prob_up[table.row(0)] = prob_flat[table.row(0)] = np.nan
+    # exact step conditionals: P(+1) = L_{r-1}(q+1)/L_r(q), P(0) = 2 L_{r-1}(q)/L_r(q)
+    for r, row in enumerate(_log_l_rows(n, a, b, log_b)):
+        cells = table.row(r)
+        cur = row[: n - r + 2]
+        log_l[cells] = cur
+        if r:
+            prob_up[cells] = np.exp(prev[1:] - cur)
+            prob_flat[cells] = np.exp(LOG2 + prev[:-1] - cur)
+        prev = cur
+    return table
 
 
 @dataclass(frozen=True)
@@ -180,20 +186,21 @@ def _sample_chunk(table: PartitionTable, count: int, rng, positions):
     n = table.n_sites
     cols = {k: i for i, k in enumerate(positions)}
     out1, out2 = np.zeros((2, count, len(cols)), dtype=np.int32)
-    q = np.zeros(count, dtype=np.int64)
+    q = np.zeros(count, dtype=np.intp)
     s1, s2 = np.zeros((2, count), dtype=np.int32)
     for j in range(n):
-        r = n - j
-        u = rng.random(count)
-        coin = rng.random(count) < 0.5
-        p_up = table.prob_up[r, q]
-        p_flat = table.prob_flat[r, q]
+        cells = table.row(n - j)
+        u, coin = rng.random((2, count))  # the same draws as two random(count)
+        p_up = table.prob_up[cells].take(q)
+        p_flat = table.prob_flat[cells].take(q)
         up = u < p_up
         flat = ~up & (u < p_up + p_flat)
         down = ~up & ~flat
-        s1 += up | (flat & coin)
-        s2 += down | (flat & coin)
-        q += up.astype(np.int64) - down.astype(np.int64)
+        heads = flat & (coin < 0.5)
+        s1 += up | heads
+        s2 += down | heads
+        q += up
+        q -= down
         np.maximum(q, 0, out=q)
         col = cols.get(j + 1)
         if col is not None:

@@ -34,8 +34,8 @@ def sampler_path_law(table) -> np.ndarray:
     Entry [i, j] is the probability of the pair whose s1 and s2 increment
     bitmasks are (i, j), indexed like `TwoLineTable.joint`.  Each step
     multiplies the table's conditional for the difference increment with r
-    steps remaining and gap q: `prob_up[r, q]` for (1, 0), half of
-    `prob_flat[r, q]` for each side of the fair coin, (1, 1) and (0, 0), and
+    steps remaining and gap q: `prob_up[row(r)][q]` for (1, 0), half of
+    `prob_flat[row(r)][q]` for each side of the fair coin, (1, 1) and (0, 0), and
     the remainder for (0, 1); q then moves by the increment, reflected at 0.
     """
     n = table.n_sites
@@ -48,8 +48,8 @@ def sampler_path_law(table) -> np.ndarray:
         r = n - j
         tau = (s1_bits >> j) & 1
         xi = (s2_bits >> j) & 1
-        p_up = table.prob_up[r, q]
-        p_flat = table.prob_flat[r, q]
+        p_up = table.prob_up[table.row(r)][q]
+        p_flat = table.prob_flat[table.row(r)][q]
         step = tau - xi
         law *= np.where(step == 1, p_up,
                         np.where(step == 0, 0.5 * p_flat, 1.0 - (p_up + p_flat)))

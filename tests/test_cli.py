@@ -237,6 +237,15 @@ class TestLdp:
         assert code == 0
         assert math.isfinite(json.loads(out)["rate"])
 
+    @pytest.mark.parametrize("a,b", [("1e200", "1e200"), ("1e160", "1e170")])
+    def test_huge_shock_density(self, capsys, a, b):
+        # the shock middle branch in logs: a*b beyond the double range
+        code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", a, "--b", b)
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["rate"])
+        assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-3
+
     def test_check(self, capsys):
         code, out, _ = run(capsys, "ldp", "check", "--n", "50", "--r", "0.5",
                            "--a", "1", "--b", "1")

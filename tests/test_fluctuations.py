@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestLimitSimulation:
         e2 = simulate_limit_process(1.0, -0.5, 128, 10_000, seed=7)
         assert np.array_equal(e1.weights, e2.weights)
         assert np.array_equal(e1.omega_mesh, e2.omega_mesh)
+
+    def test_block_memory(self):
+        # three blocks of paths reuse one block-sized buffer
+        tracemalloc.start()
+        try:
+            simulate_limit_process(-1.0, 0.3, 1024, 3 * 4096, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 4096 * 1024 * 8
 
 
 class TestDistances:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -17,6 +18,7 @@ from opentasep import (
     stationary_weights_recursive,
     tle_enumerate,
 )
+from opentasep.two_line_sampler import _log_l_rows
 
 from conftest import iid_tv_reference, sampler_path_law
 
@@ -44,7 +46,7 @@ def joint_counts(paths, n):
 class TestPartitionTable:
     def test_single_site_value(self):
         t = build_partition_table(1, 2.0, 1.0)
-        assert math.exp(t.log_l[1, 0]) == pytest.approx(5.0)  # 1 + a + b + 1
+        assert math.exp(t.log_l[t.row(1)][0]) == pytest.approx(5.0)  # 1 + a + b + 1
 
     def test_log_c_triple_point(self):
         t = build_partition_table(2, 1.0, 1.0)
@@ -100,7 +102,28 @@ class TestPartitionTable:
         with pytest.raises(ResourceLimitError):
             build_partition_table(100_001, 1.0, 1.0, log_c_only=True)
         with pytest.raises(ResourceLimitError):
-            build_partition_table(50_000, 1.0, 1.0)  # full table would be ~40 GB
+            build_partition_table(50_000, 1.0, 1.0)  # full table would be ~30 GB
+
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (0.3, 0.45)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_packed_rows(self, n, a, b):
+        # row r of the packed table is the recursion's row r cut to its
+        # n-r+2 valid columns; the three arrays hold 12 (n+1)(n+4) bytes
+        t = build_partition_table(n, a, b)
+        for r, row in enumerate(_log_l_rows(n, a, b, math.log(b))):
+            assert np.array_equal(t.log_l[t.row(r)], row[: n - r + 2])
+        assert t.log_c == build_partition_table(n, a, b, log_c_only=True)
+        assert t.log_l.nbytes + t.prob_up.nbytes + t.prob_flat.nbytes == 12 * (n + 1) * (n + 4)
+
+    def test_build_memory(self):
+        # the build holds the packed table plus O(n) rows, no dense temporary
+        tracemalloc.start()
+        try:
+            build_partition_table(512, 0.5, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 12 * 513 * 516
 
 
 class TestSampler:
