@@ -465,6 +465,8 @@ def main(argv=None) -> int:
             args.threads = int(os.environ.get("TASEP_THREADS", "1"))
         if args.threads < 1:
             raise UsageError("--threads must be >= 1")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         handler = {
             "phase": cmd_phase,
             "stationary": cmd_stationary,
@@ -476,6 +478,9 @@ def main(argv=None) -> int:
         return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # inputs are read under UsageError, so this is output
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from . import textio
 
 BUILD_CAP = 100_000
 ENDPOINT_CAP = 120
-TABLE_BYTES_CAP = 6 * 10 ** 9   # values plus two probability tables, ~12 N^2 bytes
+TABLE_BYTES_CAP = 6 * 10 ** 9   # bytes of the full table (~12 N^2) and of stored paths
 CHUNK = 1 << 15
 
 LOG2 = math.log(2.0)
@@ -162,11 +162,18 @@ class SamplePaths:
         return np.diff(self.s1, axis=1), np.diff(self.s2, axis=1)
 
     def write_csv(self, path) -> None:
+        """Increments are 0/1, so each row is 4N-1 ASCII bytes (a digit at
+        every even offset, commas between); the rows are built as one uint8
+        matrix and handed to textio.write_csv as one preformatted cell each."""
         n = self.n_sites
         header = [f"s1_{j}" for j in range(1, n + 1)] + [f"s2_{j}" for j in range(1, n + 1)]
-        d1, d2 = self.increments()
-        rows = (d1[i].tolist() + d2[i].tolist() for i in range(self.count))
-        textio.write_csv(path, header, rows)
+        cells = np.full((self.count, 4 * n - 1), ord(","), dtype=np.uint8)
+        digits = cells[:, ::2]
+        for s, out in ((self.s1, digits[:, :n]), (self.s2, digits[:, n:])):
+            np.subtract(s[:, 1:], s[:, :-1], out=out, casting="unsafe")
+        digits += ord("0")
+        lines = cells.view(f"S{4 * n - 1}").ravel()
+        textio.write_csv(path, header, ([line.decode()] for line in lines))
 
     def write_binary(self, path) -> None:
         """n as little-endian int32, then per sample two ceil(n/8)-byte
@@ -234,6 +241,12 @@ def sample_two_line(table: PartitionTable, count: int, seed: int,
                     threads: int = 1) -> SamplePaths:
     """Exact i.i.d. samples from the pair ensemble; deterministic in seed
     and independent of the thread count."""
+    paths_bytes = 8 * count * (table.n_sites + 1)  # int32 s1 and s2
+    if paths_bytes > TABLE_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{count} paths of n={table.n_sites} need ~{paths_bytes / 1e9:.1f} GB; "
+            "use a smaller count or sample_functionals"
+        )
     s1, s2 = _run_chunks(table, count, seed, range(table.n_sites + 1), threads)
     return SamplePaths(s1=s1, s2=s2)
 

@@ -67,6 +67,26 @@ class TestExitCodes:
                            "--count", "5", "--out", str(tmp_path / "s.csv"))
         assert code == 1 and "seed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10"),
+        ("fluct", "--n", "64", "--u", "0", "--v", "0", "--count", "10"),
+    ], ids=["sample", "fluct"])
+    def test_negative_seed(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--seed", "-1",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "usage error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10", "--seed", "1"),
+        ("verify", "--n-max", "2"),
+        ("ldp", "density", "--r", "0.5", "--a", "2", "--b", "2"),
+    ], ids=["sample", "verify", "ldp"])
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing_dir" / "x"))
+        assert code == 1
+        assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
 
 class TestStationary:
     def test_uniform_table(self, capsys, tmp_path):

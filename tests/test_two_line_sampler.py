@@ -18,7 +18,8 @@ from opentasep import (
     stationary_weights_recursive,
     tle_enumerate,
 )
-from opentasep.two_line_sampler import _log_l_rows
+from opentasep import two_line_sampler
+from opentasep.two_line_sampler import CHUNK, _log_l_rows
 
 from conftest import iid_tv_reference, sampler_path_law
 
@@ -150,6 +151,20 @@ class TestSampler:
         p4 = sample_two_line(t, 40_000, seed=11, threads=4)
         assert np.array_equal(p1.s1, p4.s1) and np.array_equal(p1.s2, p4.s2)
 
+    def test_paths_cap(self, monkeypatch):
+        # 8 * count * (n + 1) bytes of int32 paths over TABLE_BYTES_CAP is
+        # refused before any chunk is sampled
+        def no_sampling(*args):
+            raise AssertionError("sampled past the paths cap")
+
+        monkeypatch.setattr(two_line_sampler, "_sample_chunk", no_sampling)
+        t = build_partition_table(1000, 0.5, 0.8)
+        with pytest.raises(ResourceLimitError):
+            sample_two_line(t, 1_000_000, seed=1)
+        count = two_line_sampler.TABLE_BYTES_CAP // (8 * 1001)
+        with pytest.raises(AssertionError):  # the largest count within the cap passes
+            sample_two_line(t, count, seed=1)
+
     def test_joint_frequencies_chi_square(self):
         # goodness-of-fit of 10^6 draws against the enumerated joint;
         # the statistic is within 5 sigma of its df for an exact sampler
@@ -275,6 +290,19 @@ class TestSerialization:
         d1, d2 = paths.increments()
         first = [int(x) for x in lines[1].split(",")]
         assert first == list(d1[0]) + list(d2[0])
+
+    @pytest.mark.parametrize("n,count,threads", [(1, 5, 1), (2, 9, 1), (7, 40, 1),
+                                                 (40, 25, 1), (2, CHUNK + 3, 2)])
+    def test_csv_matches_reference(self, tmp_path, n, count, threads):
+        # the whole file against rows joined cell by cell from the increments
+        paths = sample_two_line(build_partition_table(n, 0.5, 2.0), count, seed=4,
+                                threads=threads)
+        path = tmp_path / "samples.csv"
+        paths.write_csv(path)
+        d1, d2 = paths.increments()
+        header = [f"s1_{j}" for j in range(1, n + 1)] + [f"s2_{j}" for j in range(1, n + 1)]
+        rows = [",".join(map(str, d1[i].tolist() + d2[i].tolist())) for i in range(count)]
+        assert path.read_bytes() == "\n".join([",".join(header)] + rows + [""]).encode()
 
     def test_binary_format(self, tmp_path):
         t = build_partition_table(9, 0.5, 2.0)
