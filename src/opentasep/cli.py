@@ -24,6 +24,7 @@ from .core import (
     NumericConsistencyError,
     ResourceLimitError,
     VerificationError,
+    check_size,
     normalization_K,
     params_from_ab,
     params_from_rates,
@@ -40,6 +41,8 @@ EXIT_VERIFY = 4
 
 DEFAULT_GRID = ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0),
                 (0.3, 0.45), (1.3, 1.7))
+# verify's pass thresholds on the worst error of each route over the grid
+TOLERANCES = {"marginal": 1e-10, "identity": 1e-12, "matrix": 1e-10, "generator": 1e-10}
 
 
 class UsageError(Exception):
@@ -106,10 +109,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-route verification suite")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--out", default="verify_report.json")
-    p.add_argument("--tol-marginal", type=float, default=1e-10)
-    p.add_argument("--tol-identity", type=float, default=1e-12)
-    p.add_argument("--tol-matrix", type=float, default=1e-10)
-    p.add_argument("--tol-generator", type=float, default=1e-10)
 
     p = sub.add_parser("sample", help="exact pair-ensemble samples")
     _add_param_options(p)
@@ -218,6 +217,14 @@ def _require(args, names) -> None:
             raise UsageError(f"--{name} is required")
 
 
+def _check_writable(path) -> None:
+    """Refuse an output file whose directory is missing or read-only before
+    any work starts; nothing is created or truncated here."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write output: {path}: no writable directory {folder}")
+
+
 def _emit(payload: dict, out_path=None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
@@ -239,78 +246,61 @@ def cmd_phase(args) -> int:
     return EXIT_OK
 
 
+def _route_errors(n: int, params, rec) -> tuple[float, float | None]:
+    """Largest relative error of the matrix-product weights and largest
+    absolute error of the Markov generator's stationary law against the
+    recursion table rec; the latter is None above the generator cap."""
+    mat = exact_engine.stationary_weights_matrix(n, params.a, params.b)
+    mat_err = float(np.max(np.abs(mat.weights - rec.weights) / rec.weights))
+    if n > markov_oracle.GENERATOR_CAP:
+        return mat_err, None
+    pi = markov_oracle.solve_stationary(
+        markov_oracle.build_generator(n, params.alpha, params.beta))
+    return mat_err, float(np.max(np.abs(pi - rec.probabilities())))
+
+
 def cmd_stationary(args) -> int:
     _require(args, ["n"])
     params = _resolve_params(args, n=args.n)
-    n = args.n
-    table = exact_engine.stationary_weights_recursive(n, params.a, params.b)
     os.makedirs(args.out, exist_ok=True)
+    table = exact_engine.stationary_weights_recursive(args.n, params.a, params.b)
     weights_path = os.path.join(args.out, "weights.csv")
     table.write_csv(weights_path)
-    matrix = exact_engine.stationary_weights_matrix(n, params.a, params.b)
-    rel = np.max(np.abs(matrix.weights - table.weights) / table.weights)
+    mat_err, gen_err = _route_errors(args.n, params, table)
     summary = table.summary()
-    summary["matrix_route_max_rel_error"] = float(rel)
-    if n <= markov_oracle.GENERATOR_CAP:
-        gen = markov_oracle.build_generator(n, params.alpha, params.beta)
-        pi = markov_oracle.solve_stationary(gen)
-        summary["generator_max_abs_error"] = float(
-            np.max(np.abs(pi - table.probabilities()))
-        )
+    summary["matrix_route_max_rel_error"] = mat_err
+    if gen_err is not None:
+        summary["generator_max_abs_error"] = gen_err
     summary["files"] = {"weights": weights_path}
     _emit(summary, os.path.join(args.out, "summary.json"))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    check_size(args.n_max, exact_engine.PAIR_ENUMERATION_CAP)
+    _check_writable(args.out)
     checks = []
-    worst = {"marginal": 0.0, "identity": 0.0, "matrix": 0.0, "generator": 0.0}
-    n_max = args.n_max
-    if not 1 <= n_max <= exact_engine.PAIR_ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"--n-max must lie in 1..{exact_engine.PAIR_ENUMERATION_CAP}"
-        )
+    worst = dict.fromkeys(TOLERANCES, 0.0)
     for a, b in DEFAULT_GRID:
-        for n in range(1, n_max + 1):
+        for n in range(1, args.n_max + 1):
             rec = exact_engine.stationary_weights_recursive(n, a, b)
-            probs = rec.probabilities()
             # f_N(tau), the sum of pair weights over every second walk
             f_n = exact_engine.tle_enumerate(n, a, b).s1_marginal()
-            marg_err = float(np.max(np.abs(f_n / f_n.sum() - probs)))
-            ident_err = float(np.max(np.abs(f_n - rec.weights) / rec.weights))
-            mat = exact_engine.stationary_weights_matrix(n, a, b)
-            mat_err = float(np.max(np.abs(mat.weights - rec.weights) / rec.weights))
-            params = params_from_ab(a, b)
-            gen = markov_oracle.build_generator(n, params.alpha, params.beta)
-            pi = markov_oracle.solve_stationary(gen)
-            gen_err = float(np.max(np.abs(pi - probs)))
+            errors = {"marginal": float(np.max(np.abs(f_n / f_n.sum() - rec.probabilities()))),
+                      "identity": float(np.max(np.abs(f_n - rec.weights) / rec.weights))}
+            errors["matrix"], errors["generator"] = _route_errors(n, params_from_ab(a, b), rec)
             checks.append({
                 "n": n, "a": a, "b": b,
-                "marginal_max_abs_error": marg_err,
-                "identity_max_rel_error": ident_err,
-                "matrix_max_rel_error": mat_err,
-                "generator_max_abs_error": gen_err,
+                "marginal_max_abs_error": errors["marginal"],
+                "identity_max_rel_error": errors["identity"],
+                "matrix_max_rel_error": errors["matrix"],
+                "generator_max_abs_error": errors["generator"],
             })
-            worst["marginal"] = max(worst["marginal"], marg_err)
-            worst["identity"] = max(worst["identity"], ident_err)
-            worst["matrix"] = max(worst["matrix"], mat_err)
-            worst["generator"] = max(worst["generator"], gen_err)
-    passed = (
-        worst["marginal"] <= args.tol_marginal
-        and worst["identity"] <= args.tol_identity
-        and worst["matrix"] <= args.tol_matrix
-        and worst["generator"] <= args.tol_generator
-    )
-    payload = {
-        "passed": passed,
-        "tolerances": {
-            "marginal": args.tol_marginal, "identity": args.tol_identity,
-            "matrix": args.tol_matrix, "generator": args.tol_generator,
-        },
-        "worst": worst,
-        "checks": checks,
-    }
-    _emit(payload, args.out)
+            for key, err in errors.items():
+                worst[key] = max(worst[key], err)
+    passed = all(worst[key] <= tol for key, tol in TOLERANCES.items())
+    _emit({"passed": passed, "tolerances": TOLERANCES, "worst": worst, "checks": checks},
+          args.out)
     if not passed:
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -320,6 +310,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     _require(args, ["n", "count", "seed"])
     params = _resolve_params(args, n=args.n)
+    _check_writable(args.out)
     table = two_line_sampler.build_partition_table(args.n, params.a, params.b)
     paths = two_line_sampler.sample_two_line(table, args.count, args.seed,
                                              threads=args.threads)
@@ -339,6 +330,7 @@ def cmd_fluct(args) -> int:
     _require(args, ["n", "u", "v", "count", "seed"])
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
+    os.makedirs(args.out, exist_ok=True)
     scaled = fluctuations.sample_scaled_processes(cfg, args.count, args.seed,
                                                   threads=args.threads)
     ens = fluctuations.simulate_limit_process(args.u, args.v, args.n_steps,
@@ -347,7 +339,6 @@ def cmd_fluct(args) -> int:
     if ens.degenerate:
         print(f"warning: importance-sampling ESS {ens.ess:.1f} below 1% of "
               f"{limit_count}", file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
     tle_path = os.path.join(args.out, "tle_w1.csv")
     wminus_path = os.path.join(args.out, "tle_wminus.csv")
     limit_path = os.path.join(args.out, "limit.csv")

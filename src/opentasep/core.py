@@ -40,6 +40,26 @@ class VerificationError(RuntimeError):
     """A cross-route verification suite reported a failure."""
 
 
+def check_size(n: int, cap: int) -> None:
+    """Refuse a system size outside 1..cap."""
+    if not 1 <= n <= cap:
+        raise ResourceLimitError(f"n={n} outside supported range 1..{cap}")
+
+
+def check_ab(a: float, b: float) -> None:
+    """Refuse (a, b) unless both are positive and finite; NaN never passes."""
+    for name, val in (("a", a), ("b", b)):
+        if not 0.0 < val < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {val!r}")
+
+
+def check_rates(alpha: float, beta: float) -> None:
+    """Refuse boundary rates outside (0, 1); NaN never passes."""
+    for name, rate in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < rate < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
+
+
 @dataclass(frozen=True)
 class BoundaryParams:
     """Boundary rates and their (a, b) reparameterization.
@@ -54,12 +74,8 @@ class BoundaryParams:
     b: float
 
     def __post_init__(self) -> None:
-        for name, rate in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (0.0 < rate < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
-        for name, val in (("a", self.a), ("b", self.b)):
-            if not val > 0.0:
-                raise DomainError(f"{name} must be positive, got {val!r}")
+        check_rates(self.alpha, self.beta)
+        check_ab(self.a, self.b)
         if not _close_rel(self.a, (1.0 - self.alpha) / self.alpha, 1e-14):
             raise DomainError("a inconsistent with alpha")
         if not _close_rel(self.b, (1.0 - self.beta) / self.beta, 1e-14):
@@ -72,18 +88,13 @@ def _close_rel(x: float, y: float, tol: float) -> bool:
 
 def params_from_rates(alpha: float, beta: float) -> BoundaryParams:
     """Build parameters from the boundary rates themselves."""
-    for name, rate in (("alpha", alpha), ("beta", beta)):
-        if not (0.0 < rate < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
+    check_rates(alpha, beta)
     return BoundaryParams(alpha, beta, (1.0 - alpha) / alpha, (1.0 - beta) / beta)
 
 
 def params_from_ab(a: float, b: float) -> BoundaryParams:
     """Build parameters from (a, b) directly; alpha = 1/(1+a), beta = 1/(1+b)."""
-    if not a > 0.0:
-        raise DomainError(f"a must be positive, got {a!r}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b!r}")
+    check_ab(a, b)
     return BoundaryParams(1.0 / (1.0 + a), 1.0 / (1.0 + b), a, b)
 
 
@@ -187,10 +198,7 @@ class PhaseInfo:
 
 def phase_info(a: float, b: float) -> PhaseInfo:
     """Classify (a, b) and return the limiting particle density rho_bar."""
-    if not a > 0.0:
-        raise DomainError(f"a must be positive, got {a!r}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b!r}")
+    check_ab(a, b)
     if a > 1.0 and a >= b:
         region, rho = "LD", 1.0 / (1.0 + a)
     elif b > 1.0:
@@ -222,11 +230,13 @@ def normalization_K(a: float, b: float) -> float:
 
 def shock_region_K(a: float, b: float) -> float:
     """Closed form log((a v b)/(1 + a v b)^2); valid normalization on ab >= 1."""
+    check_ab(a, b)
     return _log_k(max(a, b))
 
 
 def fan_region_K(a: float, b: float) -> float:
     """Three-case closed form valid on ab <= 1 (at most one of a, b exceeds 1)."""
+    check_ab(a, b)
     if a > 1.0:
         return _log_k(a)
     if b > 1.0:
@@ -245,7 +255,7 @@ def log_c_growth_rate(a: float, b: float) -> float:
 
 def entropy_h(x: float) -> float:
     """x log x + (1-x) log(1-x) on [0, 1] (with 0 log 0 = 0), +inf outside."""
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         return math.inf
     out = 0.0
     if x > 0.0:
@@ -263,7 +273,7 @@ def relative_entropy(x: float, y: float) -> float:
     """
     if not (0.0 < y < 1.0):
         raise DomainError(f"reference probability y must lie in (0, 1), got {y!r}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         return math.inf
     out = 0.0
     if x > 0.0:

@@ -30,9 +30,10 @@ from .core import (
     LatticePath,
     NumericConsistencyError,
     Occupation,
-    ResourceLimitError,
     _bits_of,
     _values_of,
+    check_ab,
+    check_size,
 )
 from . import textio
 
@@ -60,15 +61,6 @@ def all_height_paths(n: int) -> np.ndarray:
     out = np.zeros((1 << n, n + 1), dtype=np.int64)
     np.cumsum(incr, axis=1, out=out[:, 1:])
     return out
-
-
-def _check_caps(n: int, a, b, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ResourceLimitError(f"n={n} outside supported range 1..{cap}")
-    if not a > 0:
-        raise DomainError(f"a must be positive, got {a!r}")
-    if not b > 0:
-        raise DomainError(f"b must be positive, got {b!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,8 @@ def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTab
     (1 + max(a,b))^N); `exact=True` switches to Fraction arithmetic for
     rational (a, b).
     """
-    _check_caps(n, a, b, ENUMERATION_CAP)
+    check_size(n, ENUMERATION_CAP)
+    check_ab(a, b)
     if exact:
         a, b = Fraction(a), Fraction(b)
         one_a, one_b = 1 + a, 1 + b
@@ -236,7 +229,8 @@ def stationary_weights_matrix(n: int, a: float, b: float) -> WeightTable:
     Uses complex arithmetic when ab > 1 and returns the real parts after
     asserting the imaginary residue is negligible.
     """
-    _check_caps(n, a, b, ENUMERATION_CAP)
+    check_size(n, ENUMERATION_CAP)
+    check_ab(a, b)
     a, b = float(a), float(b)
     d, e = _matrices(n, a, b)
     vecs = np.zeros((1, n + 1), dtype=d.dtype)
@@ -261,6 +255,7 @@ def stationary_weights_matrix(n: int, a: float, b: float) -> WeightTable:
 
 def two_line_weight(s1, s2, a, b):
     """Pair weight b^(s1(N)-s2(N)) * (ab)^(-min_j (s1(j)-s2(j)))."""
+    check_ab(a, b)
     v1 = _values_of(s1)
     v2 = _values_of(s2)
     if len(v1) != len(v2):
@@ -273,8 +268,9 @@ def f_n_enumerate(tau, a, b, exact: bool = False):
     """Sum of pair weights over every second walk; equals p_N(tau)."""
     bits = _bits_of(tau)
     n = len(bits)
+    check_size(n, ENUMERATION_CAP)
+    check_ab(a, b)
     if exact:
-        _check_caps(n, Fraction(a), Fraction(b), ENUMERATION_CAP)
         a, b = Fraction(a), Fraction(b)
         s1 = LatticePath((0,) + tuple(np.cumsum(bits).tolist()))
         total = Fraction(0)
@@ -282,7 +278,6 @@ def f_n_enumerate(tau, a, b, exact: bool = False):
             s2 = LatticePath((0,) + tuple(np.cumsum(config_bits(j, n)).tolist()))
             total += two_line_weight(s1, s2, a, b)
         return total
-    _check_caps(n, a, b, ENUMERATION_CAP)
     s1 = np.concatenate([[0], np.cumsum(bits)])
     heights = np.ascontiguousarray(all_height_paths(n).T)
     return float(np.sum(_pair_weight_row(s1, heights, float(a), float(b))))
@@ -300,7 +295,8 @@ def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, a: float, b: float) ->
 
 def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
     """Full joint table of pair weights over all 4^N path pairs."""
-    _check_caps(n, a, b, PAIR_ENUMERATION_CAP)
+    check_size(n, PAIR_ENUMERATION_CAP)
+    check_ab(a, b)
     a, b = float(a), float(b)
     heights = np.ascontiguousarray(all_height_paths(n).T)
     size = 1 << n

@@ -200,8 +200,7 @@ def compare_distributions(sample_a, sample_b, weights_b=None) -> DistanceReport:
     grid = np.concatenate([xa, xb])
     grid.sort(kind="stable")
     fa = np.searchsorted(xa, grid, side="right") / xa.size
-    fb = np.cumsum(wb)[np.searchsorted(xb, grid, side="right") - 1]
-    fb = np.where(np.searchsorted(xb, grid, side="right") == 0, 0.0, fb)
+    fb = np.concatenate([[0.0], np.cumsum(wb)])[np.searchsorted(xb, grid, side="right")]
     gap = np.abs(fa - fb)
     ks = float(gap.max())
     w1 = float(np.sum(gap[:-1] * np.diff(grid)))

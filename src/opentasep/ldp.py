@@ -42,6 +42,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     _log_k,
+    check_ab,
     entropy_h,
     fan_region_K,
     normalization_K,
@@ -71,6 +72,8 @@ class Profile:
         vs = tuple(float(y) for y in self.values)
         if len(ks) != len(vs) or len(ks) < 2:
             raise DomainError("profile needs matching knots/values, length >= 2")
+        if not all(map(math.isfinite, ks + vs)):
+            raise DomainError("profile knots and values must be finite")
         if ks[0] != 0.0 or ks[-1] != 1.0:
             raise DomainError("profile knots must start at 0 and end at 1")
         if any(x1 <= x0 for x0, x1 in zip(ks, ks[1:])):
@@ -172,8 +175,7 @@ def rate_two_line(f1: Profile, f2: Profile, a: float, b: float) -> float:
     """Rate of the pair (f1, f2); zero exactly at the law-of-large-numbers
     pair (the second line concentrates at slope a/(1+a) in the LD phase,
     1/(1+b) in the HD phase, 1/2 at the triple point)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
+    check_ab(a, b)
     h1 = entropy_integral(f1)
     h2 = entropy_integral(f2)
     if math.isinf(h1) or math.isinf(h2):
@@ -212,8 +214,7 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
     x1 = 1 when fe' stays below the lower bound and x2 = 0 when fe' starts at
     or above the upper bound.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
+    check_ab(a, b)
     if a * b > 1.0:
         raise DomainError(f"optimal_G needs ab <= 1, got ab = {a * b:g}")
     slopes = fe.slopes
@@ -261,6 +262,7 @@ def J_star(f: Profile, G: MonotoneStep) -> float:
 
 def J_upper(f: Profile, g: Profile, a: float, b: float) -> float:
     """int h(g') + log(ab) min(f - g) - log(b) (f(1) - g(1)), exactly."""
+    check_ab(a, b)
     hg = entropy_integral(g)
     if math.isinf(hg):
         return math.inf
@@ -279,8 +281,7 @@ class HeightRateReport:
 
 def rate_height_report(f: Profile, a: float, b: float) -> HeightRateReport:
     """Closed-form height rate with its diagnostics."""
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
+    check_ab(a, b)
     hf = entropy_integral(f)
     if math.isinf(hf):
         region = "shock" if a * b >= 1.0 else "fan"
@@ -395,6 +396,7 @@ def rate_height_variational(f: Profile, a: float, b: float,
     piecewise linear on linspace(0, 1, mesh + 1) joined with the knots of f,
     with its duality gap.  It uses no convex envelope, G_* or y_*, so it
     checks the closed forms independently."""
+    check_ab(a, b)
     if mesh < 50:
         raise DomainError("mesh must be >= 50")
     if mesh > MESH_CAP:
@@ -443,8 +445,7 @@ def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
     isotonic maximizer is pool-adjacent-violators on the cell slopes followed
     by clamping to the value interval.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
+    check_ab(a, b)
     if a * b > 1.0:
         raise DomainError(f"sup_over_G needs ab <= 1, got ab = {a * b:g}")
     if mesh < 2:
@@ -469,9 +470,8 @@ def rate_density(r: float, a: float, b: float) -> float:
     Bernoulli middle branch.  Shock half (ab > 1): the middle branch is linear
     in r and vanishes identically on the coexistence line a = b > 1.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
-    if r < 0.0 or r > 1.0:
+    check_ab(a, b)
+    if not 0.0 <= r <= 1.0:
         return math.inf
     ra = a / (1.0 + a)      # fan: lower branch boundary
     rb = 1.0 / (1.0 + b)    # fan: upper branch boundary
@@ -547,40 +547,30 @@ def _fan_density_objective(r: float, a: float, b: float) -> float:
 def fan_K_variational(a: float, b: float) -> float:
     """Normalization recovered variationally on ab <= 1: the infimum over r
     of the scalar-reduced density objective."""
+    check_ab(a, b)
     val, _ = _grid_then_golden(lambda r: _fan_density_objective(r, a, b), 0.0, 1.0)
     return val
 
 
 def shock_K_variational(a: float, b: float) -> float:
     """Normalization recovered variationally on ab >= 1: free minimization
-    over the crossover y and the two-piece endpoint values (F, G)."""
+    over the crossover y and the two-piece endpoint values (F, G).  For fixed
+    y the objective is y (min_t[h(t) + t log a] - log(1+a)) + (1-y)
+    (min_t[h(t) - t log b] + log b - log(1+b)), affine in y, so the minimum
+    over y sits at y = 0 or y = 1."""
+    check_ab(a, b)
     log_a, log_b = math.log(a), math.log(b)
-
-    def value_at(y: float) -> float:
-        const = -y * math.log1p(a) + (1.0 - y) * (log_b - math.log1p(b))
-        if y > 0.0:
-            first, _ = _golden_min(lambda t: entropy_h(t) + t * log_a, 0.0, 1.0)
-            first *= y
-        else:
-            first = 0.0
-        if y < 1.0:
-            second, _ = _golden_min(lambda t: entropy_h(t) - t * log_b, 0.0, 1.0)
-            second *= 1.0 - y
-        else:
-            second = 0.0
-        return const + first + second
-
-    val, _ = _grid_then_golden(value_at, 0.0, 1.0, grid=65)
-    return val
+    first, _ = _golden_min(lambda t: entropy_h(t) + t * log_a, 0.0, 1.0)
+    second, _ = _golden_min(lambda t: entropy_h(t) - t * log_b, 0.0, 1.0)
+    return min(-math.log1p(a) + first, log_b - math.log1p(b) + second)
 
 
 def rate_density_variational(r: float, a: float, b: float) -> float:
     """Mean-density rate by scalar variational reduction over linear
     profiles; matches rate_density to high accuracy."""
-    if a <= 0 or b <= 0:
-        raise DomainError("a and b must be positive")
-    if r < 0.0 or r > 1.0:
-        raise DomainError("r must lie in [0, 1]")
+    check_ab(a, b)
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"r must lie in [0, 1], got {r!r}")
     if a * b <= 1.0:
         return _fan_density_objective(r, a, b) - fan_K_variational(a, b)
     log_a, log_b = math.log(a), math.log(b)
@@ -626,8 +616,8 @@ class FiniteNCheck:
 
 
 def finite_n_ldp_check(n: int, a: float, b: float, r: float) -> FiniteNCheck:
-    if r < 0.0 or r > 1.0:
-        raise DomainError("r must lie in [0, 1]")
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"r must lie in [0, 1], got {r!r}")
     log_pmf = _endpoint_log_pmf(n, a, b)
     k = int(round(r * n))
     empirical = -float(log_pmf[k]) / n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NumericConsistencyError, ResourceLimitError
+from .core import DomainError, NumericConsistencyError, check_rates, check_size
 from .exact_engine import all_height_paths
 from .rng import stream
 from . import textio
@@ -35,11 +35,8 @@ class GeneratorMatrix:
 def build_generator(n: int, alpha: float, beta: float) -> GeneratorMatrix:
     import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
 
-    if not 1 <= n <= GENERATOR_CAP:
-        raise ResourceLimitError(f"n={n} outside supported range 1..{GENERATOR_CAP}")
-    for name, rate in (("alpha", alpha), ("beta", beta)):
-        if not (0.0 < rate < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
+    check_size(n, GENERATOR_CAP)
+    check_rates(alpha, beta)
     size = 1 << n
     rows, cols, vals = [], [], []
     top = 1 << (n - 1)
@@ -107,7 +104,7 @@ def kmc_sample(
     continuous time, so snapshot spacing does not depend on event counts.
     """
     if not (burn_in > 0.0 and thin > 0.0):
-        raise DomainError("burn_in and thin must be positive")
+        raise DomainError("burn_in and thin must exceed 0")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     # successors and rates of state i: off-diagonal CSR row i of the generator

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ResourceLimitError
+from .core import DomainError, ResourceLimitError, check_ab, check_size
 from .rng import stream
 from . import textio
 
@@ -108,12 +108,8 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
     memory and the return value is the float log c; otherwise the full table
     needed for sampling is built one row at a time (~12 N^2 bytes).
     """
-    if not 1 <= n <= BUILD_CAP:
-        raise ResourceLimitError(f"n={n} outside supported range 1..{BUILD_CAP}")
-    if not a > 0.0:
-        raise DomainError(f"a must be positive, got {a!r}")
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b!r}")
+    check_size(n, BUILD_CAP)
+    check_ab(a, b)
     a, b = float(a), float(b)
     log_b = math.log(b)
     if log_c_only:
@@ -277,10 +273,8 @@ def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:
     accumulates multiplicatively at reflections, and the terminal weight
     contributes b^q.
     """
-    if not 1 <= n <= ENDPOINT_CAP:
-        raise ResourceLimitError(f"n={n} outside supported range 1..{ENDPOINT_CAP}")
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError("a and b must be positive")
+    check_size(n, ENDPOINT_CAP)
+    check_ab(a, b)
     log_a, log_b = math.log(a), math.log(b)
     cur = np.full((n + 2, n + 1), -np.inf)  # [q, k]
     cur[0, 0] = 0.0

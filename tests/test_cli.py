@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import opentasep
-from opentasep import fluctuations, markov_oracle, two_line_sampler
+from opentasep import exact_engine, fluctuations, markov_oracle, two_line_sampler
 from opentasep.cli import main
 
 
@@ -86,6 +86,38 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing_dir" / "x"))
         assert code == 1
         assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,module,stage", [
+        (("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10", "--seed", "1"),
+         two_line_sampler, "build_partition_table"),
+        (("verify", "--n-max", "2"), exact_engine, "stationary_weights_recursive"),
+    ], ids=["sample", "verify"])
+    def test_unwritable_output_refused_before_work(self, capsys, tmp_path, monkeypatch,
+                                                   argv, module, stage):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the output was checked")
+
+        monkeypatch.setattr(module, stage, work)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing_dir" / "x"))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: cannot write output") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,profile", [
+        (("ldp", "density", "--r", "nan", "--a", "0.5", "--b", "0.8"), None),
+        (("ldp", "check", "--n", "10", "--r", "nan", "--a", "1", "--b", "1"), None),
+        (("ldp", "rate", "--a", "0.5", "--b", "0.8", "--variational"),
+         "x,f\n0,0\n0.5,nan\n1,0.5\n"),
+        (("ldp", "rate", "--a", "2", "--b", "1.5", "--variational"),
+         "x,f\n0,0\n0.5,nan\n1,0.5\n"),
+    ], ids=["density", "check", "rate-fan", "rate-shock"])
+    def test_nan_input_is_domain_error(self, capsys, tmp_path, argv, profile):
+        if profile is not None:
+            prof = tmp_path / "f.csv"
+            prof.write_text(profile)
+            argv += ("--profile", str(prof))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 class TestStationary:

@@ -29,6 +29,7 @@ from opentasep import (
     sup_over_G,
 )
 from opentasep.rng import stream
+import opentasep
 
 
 def random_profile(rng, n_pieces, mesh=200):
@@ -457,3 +458,67 @@ class TestFiniteN:
     def test_domain(self):
         with pytest.raises(DomainError):
             finite_n_ldp_check(10, 1.0, 1.0, 1.5)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.5), (0.5, math.nan)], ids=["a", "b"])
+    def test_nan_parameter_raises_everywhere(self, a, b):
+        f = Profile((0.0, 0.5, 1.0), (0.0, 0.2, 0.6))
+        path = (0, 1, 1)
+        calls = {
+            "params_from_ab": lambda: opentasep.params_from_ab(a, b),
+            "phase_info": lambda: phase_info(a, b),
+            "normalization_K": lambda: normalization_K(a, b),
+            "fan_region_K": lambda: fan_region_K(a, b),
+            "shock_region_K": lambda: shock_region_K(a, b),
+            "log_c_growth_rate": lambda: opentasep.log_c_growth_rate(a, b),
+            "stationary_weights_recursive": lambda: opentasep.stationary_weights_recursive(3, a, b),
+            "stationary_weights_recursive_exact":
+                lambda: opentasep.stationary_weights_recursive(3, a, b, exact=True),
+            "stationary_weights_matrix": lambda: opentasep.stationary_weights_matrix(3, a, b),
+            "f_n_enumerate": lambda: opentasep.f_n_enumerate((1, 0), a, b),
+            "f_n_enumerate_exact": lambda: opentasep.f_n_enumerate((1, 0), a, b, exact=True),
+            "tle_enumerate": lambda: opentasep.tle_enumerate(2, a, b),
+            "two_line_weight": lambda: opentasep.two_line_weight(path, path, a, b),
+            "verify_marginal_identity": lambda: opentasep.verify_marginal_identity(2, a, b, 1e-10),
+            "build_partition_table": lambda: opentasep.build_partition_table(4, a, b),
+            "build_partition_table_log_c":
+                lambda: opentasep.build_partition_table(4, a, b, log_c_only=True),
+            "height_endpoint_distribution": lambda: opentasep.height_endpoint_distribution(4, a, b),
+            "rate_two_line": lambda: rate_two_line(f, f, a, b),
+            "optimal_G": lambda: optimal_G(convex_envelope(f), a, b),
+            "J_upper": lambda: J_upper(f, f, a, b),
+            "rate_height_report": lambda: rate_height_report(f, a, b),
+            "rate_height_closed": lambda: rate_height_closed(f, a, b),
+            "rate_height_variational": lambda: rate_height_variational(f, a, b),
+            "sup_over_G": lambda: sup_over_G(f, a, b),
+            "rate_density": lambda: rate_density(0.5, a, b),
+            "rate_density_variational": lambda: rate_density_variational(0.5, a, b),
+            "fan_K_variational": lambda: fan_K_variational(a, b),
+            "shock_K_variational": lambda: shock_K_variational(a, b),
+            "finite_n_ldp_check": lambda: finite_n_ldp_check(10, a, b, 0.5),
+        }
+        accepted = []
+        for name, call in calls.items():
+            try:
+                call()
+            except DomainError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+    def test_nan_point_is_outside(self):
+        assert rate_density(math.nan, 0.5, 0.5) == math.inf
+        assert entropy_h(math.nan) == math.inf
+        assert relative_entropy(math.nan, 0.5) == math.inf
+        for call in (lambda: rate_density_variational(math.nan, 0.5, 0.5),
+                     lambda: finite_n_ldp_check(10, 1.0, 1.0, math.nan)):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_profile_refuses_non_finite_cells(self, cell):
+        with pytest.raises(DomainError):
+            Profile((0.0, cell, 1.0), (0.0, 0.2, 0.5))
+        with pytest.raises(DomainError):
+            Profile((0.0, 0.5, 1.0), (0.0, cell, 0.5))
