@@ -326,11 +326,42 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _mesh_major_rows(mesh, values, mids):
+    """Rows "x,i,value" of a (count, len(mesh)) matrix, mesh-major, each as
+    one preformatted cell.  A column of W1 or W- is an integer over sqrt(N),
+    so it holds at most 2N+1 distinct values: each is formatted once, found
+    by its bit pattern so that -0.0 keeps its own text, and the ",i," cells
+    in `mids` are shared by every column."""
+    for x, column in zip(mesh, values.T):
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = [str(value) for value in bits.view(np.float64).tolist()]
+        head = str(x)
+        for mid, k in zip(mids, inverse.tolist()):
+            yield (head + mid + texts[k],)
+
+
+def _write_fluct_csvs(files: dict, mesh, scaled, ens) -> None:
+    """tle_w1 and tle_wminus as (x, sample_id, value) rows, mesh-major, and
+    limit as one (sample_id, weight, value at each mesh point) row per path."""
+    mids = [f",{i}," for i in range(scaled.w1.shape[0])]
+    for key, values in (("tle_w1", scaled.w1), ("tle_wminus", scaled.w_minus)):
+        textio.write_csv(files[key], ["x", "sample_id", "value"],
+                         _mesh_major_rows(mesh, values, mids))
+    textio.write_csv(
+        files["limit"],
+        ["sample_id", "weight"] + [f"value_at_{x}" for x in mesh],
+        ([i, w, *row]
+         for i, (w, row) in enumerate(zip(ens.weights.tolist(), ens.omega_mesh.tolist()))),
+    )
+
+
 def cmd_fluct(args) -> int:
     _require(args, ["n", "u", "v", "count", "seed"])
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
     os.makedirs(args.out, exist_ok=True)
+    # refuse a bad or oversized limit ensemble before the sampling starts
+    fluctuations.check_limit_request(args.u, args.v, args.n_steps, limit_count, cfg.mesh)
     scaled = fluctuations.sample_scaled_processes(cfg, args.count, args.seed,
                                                   threads=args.threads)
     ens = fluctuations.simulate_limit_process(args.u, args.v, args.n_steps,
@@ -339,21 +370,9 @@ def cmd_fluct(args) -> int:
     if ens.degenerate:
         print(f"warning: importance-sampling ESS {ens.ess:.1f} below 1% of "
               f"{limit_count}", file=sys.stderr)
-    tle_path = os.path.join(args.out, "tle_w1.csv")
-    wminus_path = os.path.join(args.out, "tle_wminus.csv")
-    limit_path = os.path.join(args.out, "limit.csv")
-    for path, values in ((tle_path, scaled.w1), (wminus_path, scaled.w_minus)):
-        textio.write_csv(
-            path, ["x", "sample_id", "value"],
-            ((x, i, value) for x, column in zip(cfg.mesh, values.T)
-             for i, value in enumerate(column.tolist())),
-        )
-    textio.write_csv(
-        limit_path,
-        ["sample_id", "weight"] + [f"value_at_{x}" for x in cfg.mesh],
-        ([i, w] + row.tolist()
-         for i, (w, row) in enumerate(zip(ens.weights.tolist(), ens.omega_mesh))),
-    )
+    files = {key: os.path.join(args.out, f"{key}.csv")
+             for key in ("tle_w1", "tle_wminus", "limit")}
+    _write_fluct_csvs(files, cfg.mesh, scaled, ens)
     per_mesh = {}
     for j, x in enumerate(cfg.mesh):
         rep = fluctuations.compare_distributions(
@@ -369,7 +388,7 @@ def cmd_fluct(args) -> int:
         "kappa_hat": ens.kappa_hat, "ess": ens.ess, "degenerate": ens.degenerate,
         "w_minus_vs_limit": per_mesh,
         "w1_vs_b_plus_x_at_1": {"ks": full.ks, "w1": full.w1},
-        "files": {"tle_w1": tle_path, "tle_wminus": wminus_path, "limit": limit_path},
+        "files": files,
     }
     _emit(payload, os.path.join(args.out, "summary.json"))
     return EXIT_OK

@@ -46,6 +46,14 @@ def check_size(n: int, cap: int) -> None:
         raise ResourceLimitError(f"n={n} outside supported range 1..{cap}")
 
 
+def check_bytes(nbytes: int, cap: int, what: str) -> None:
+    """Refuse `what` (a phrase like "storing 10 paths") when the nbytes it
+    allocates exceed cap, before any of it is attempted."""
+    if nbytes > cap:
+        raise ResourceLimitError(
+            f"{what} needs ~{nbytes / 1e9:.1f} GB, over the {cap / 1e9:g} GB cap")
+
+
 def check_ab(a: float, b: float) -> None:
     """Refuse (a, b) unless both are positive and finite; NaN never passes."""
     for name, val in (("a", a), ("b", b)):
@@ -58,6 +66,24 @@ def check_rates(alpha: float, beta: float) -> None:
     for name, rate in (("alpha", alpha), ("beta", beta)):
         if not 0.0 < rate < 1.0:
             raise DomainError(f"{name} must lie in (0, 1), got {rate!r}")
+
+
+def check_uv(u: float, v: float) -> None:
+    """Refuse non-finite scaling-window parameters (u, v); NaN never passes."""
+    for name, val in (("u", u), ("v", v)):
+        if not -math.inf < val < math.inf:
+            raise DomainError(f"{name} must be finite, got {val!r}")
+
+
+def check_mesh(mesh: Iterable[float]) -> tuple[float, ...]:
+    """The mesh as a tuple of floats, refused unless it is nonempty, sorted,
+    within [0, 1] and ends at 1; NaN never passes."""
+    mesh = tuple(float(x) for x in mesh)
+    if not mesh or mesh[-1] != 1.0 or not all(
+            x <= y for x, y in zip((0.0,) + mesh, mesh)):
+        raise DomainError(f"mesh must be nonempty, sorted, within [0, 1] and end at 1, "
+                          f"got {mesh!r}")
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -106,6 +132,7 @@ def params_from_scaling(u: float, v: float, n: int) -> BoundaryParams:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
+    check_uv(u, v)
     root = math.sqrt(n)
     for name, val in (("u", u), ("v", v)):
         if abs(val / root) > _MAX_LOG_PARAM:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, params_from_scaling
+from .core import DomainError, check_bytes, check_mesh, check_uv, params_from_scaling
 from .rng import stream
-from .two_line_sampler import build_partition_table, sample_functionals
+from .two_line_sampler import TABLE_BYTES_CAP, build_partition_table, sample_functionals
 
 DEFAULT_MESH = (0.25, 0.5, 0.75, 1.0)
 _BLOCK = 4096
@@ -41,14 +41,10 @@ class ScalingConfig:
     mesh: tuple[float, ...] = DEFAULT_MESH
 
     def __post_init__(self) -> None:
+        check_uv(self.u, self.v)
         if self.n < 1:
             raise DomainError("n must be >= 1")
-        mesh = tuple(float(x) for x in self.mesh)
-        if not mesh or list(mesh) != sorted(mesh):
-            raise DomainError("mesh must be nonempty and sorted")
-        if mesh[0] < 0.0 or mesh[-1] != 1.0:
-            raise DomainError("mesh must lie in [0, 1] and include 1")
-        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "mesh", check_mesh(self.mesh))
 
     def positions(self) -> list[int]:
         return [math.floor(x * self.n) for x in self.mesh]
@@ -67,9 +63,10 @@ class ScaledSample:
 def sample_scaled_processes(cfg: ScalingConfig, count: int, seed: int,
                             threads: int = 1) -> ScaledSample:
     p = params_from_scaling(cfg.u, cfg.v, cfg.n)
-    table = build_partition_table(cfg.n, p.a, p.b)
     positions = cfg.positions()
-    s1, d = sample_functionals(table, count, seed, positions, threads=threads)
+    # no local holds the table, so it is freed before the scaling below
+    s1, d = sample_functionals(build_partition_table(cfg.n, p.a, p.b), count, seed,
+                               positions, threads=threads)
     root = math.sqrt(cfg.n)
     ks = np.array(positions, dtype=float)
     w1 = (2.0 * s1 - ks) / root
@@ -129,6 +126,22 @@ class LimitEnsemble:
         return x + np.cumsum(incr, axis=1)
 
 
+def check_limit_request(u: float, v: float, n_steps: int, count: int,
+                        mesh: tuple[float, ...]) -> tuple[float, ...]:
+    """Refuse a simulate_limit_process call outside its domain or over the
+    memory cap, before any work; returns the checked mesh."""
+    check_uv(u, v)
+    if n_steps < 100:
+        raise DomainError("n_steps must be >= 100")
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    mesh = check_mesh(mesh)
+    check_bytes(8 * count * (len(mesh) + 1) + 8 * min(_BLOCK, count) * n_steps,
+                TABLE_BYTES_CAP,  # omega_mesh and weights, plus one block of paths
+                f"simulating {count} limit paths of {n_steps} steps")
+    return mesh
+
+
 def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
                            seed: int,
                            mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
@@ -138,14 +151,8 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
     variance 1/(2 n_steps)); the raw weight of a path is
     exp((u+v) * grid-min - v * endpoint).
     """
-    if n_steps < 100:
-        raise DomainError("n_steps must be >= 100")
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    mesh = tuple(float(x) for x in mesh)
+    mesh = check_limit_request(u, v, n_steps, count, mesh)
     cols = [int(round(x * n_steps)) for x in mesh]
-    if any(not 0 <= c <= n_steps for c in cols):
-        raise DomainError("mesh must lie in [0, 1]")
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
     omega_mesh = np.empty((count, len(mesh)))
     weights = np.empty(count)

@@ -17,12 +17,13 @@ where r counts remaining steps and the difference increment takes values
 lines).  The classical value function over (step j, difference d, running
 minimum m) is recovered as V_j(d, m) = -m log a + log L_{N-j}(d - m).
 
-Forward sampling draws the difference increment from the exact conditionals
-L-ratios give, flips a fair coin for the common increment at flat steps, and
-reconstructs both lines.  One sample costs O(N) after the O(N^2) table.  The
-same walk serves both entry points: it records (s1, s2) at a list of path
-positions, every position 0..N for `sample_two_line` and only the requested
-ones for `sample_functionals`.
+Forward sampling draws each step from one uniform u, cut by the exact
+conditionals the L-ratios give: with h = P(0)/2, the joint increments (0,0),
+(1,0), (1,1), (0,1) take u in [0, h), [h, h + P(+1)), [h + P(+1), P(+1) + P(0))
+and the rest, so the two flat increments split P(0) evenly.  One sample costs
+O(N) after the O(N^2) table.  The same walk serves both entry points: it
+records (s1, s2) at a list of path positions, every position 0..N for
+`sample_two_line` and only the requested ones for `sample_functionals`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ResourceLimitError, check_ab, check_size
+from .core import DomainError, check_ab, check_bytes, check_size
 from .rng import stream
 from . import textio
 
@@ -117,11 +118,7 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
             last = row
         return float(last[0]) - n * math.log(4.0)
     size = (n + 1) * (n + 4) // 2
-    if 24 * size > TABLE_BYTES_CAP:
-        raise ResourceLimitError(
-            f"full table for n={n} needs ~{24 * size / 1e9:.1f} GB; "
-            "use log_c_only=True or a smaller n"
-        )
+    check_bytes(24 * size, TABLE_BYTES_CAP, f"building the full table for n={n}")
     log_l, prob_up, prob_flat = np.empty((3, size))
     table = PartitionTable(
         n_sites=n, a=a, b=b, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat
@@ -193,17 +190,16 @@ def _sample_chunk(table: PartitionTable, count: int, rng, positions):
     s1, s2 = np.zeros((2, count), dtype=np.int32)
     for j in range(n):
         cells = table.row(n - j)
-        u, coin = rng.random((2, count))  # the same draws as two random(count)
+        u = rng.random(count)
         p_up = table.prob_up[cells].take(q)
         p_flat = table.prob_flat[cells].take(q)
-        up = u < p_up
-        flat = ~up & (u < p_up + p_flat)
-        down = ~up & ~flat
-        heads = flat & (coin < 0.5)
-        s1 += up | heads
-        s2 += down | heads
-        q += up
-        q -= down
+        h = 0.5 * p_flat
+        inc1 = (u >= h) & (u < p_up + p_flat)  # (1,0) or (1,1)
+        inc2 = u >= h + p_up                   # (1,1) or (0,1)
+        s1 += inc1
+        s2 += inc2
+        q += inc1
+        q -= inc2
         np.maximum(q, 0, out=q)
         col = cols.get(j + 1)
         if col is not None:
@@ -237,12 +233,8 @@ def sample_two_line(table: PartitionTable, count: int, seed: int,
                     threads: int = 1) -> SamplePaths:
     """Exact i.i.d. samples from the pair ensemble; deterministic in seed
     and independent of the thread count."""
-    paths_bytes = 8 * count * (table.n_sites + 1)  # int32 s1 and s2
-    if paths_bytes > TABLE_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{count} paths of n={table.n_sites} need ~{paths_bytes / 1e9:.1f} GB; "
-            "use a smaller count or sample_functionals"
-        )
+    check_bytes(8 * count * (table.n_sites + 1), TABLE_BYTES_CAP,  # int32 s1 and s2
+                f"storing {count} paths of n={table.n_sites}")
     s1, s2 = _run_chunks(table, count, seed, range(table.n_sites + 1), threads)
     return SamplePaths(s1=s1, s2=s2)
 
@@ -259,6 +251,8 @@ def sample_functionals(table: PartitionTable, count: int, seed: int,
     wanted = [int(k) for k in positions]
     if any(not 0 <= k <= table.n_sites for k in wanted):
         raise DomainError("record positions must lie in 0..n")
+    check_bytes(8 * count * len(wanted), TABLE_BYTES_CAP,  # int32 s1 and s1 - s2
+                f"storing {count} samples at {len(wanted)} positions")
     unique = sorted(set(wanted))
     s1, s2 = _run_chunks(table, count, seed, unique, threads)
     cols = [unique.index(k) for k in wanted]

@@ -7,13 +7,16 @@ and `iid_tv_reference` is where the empirical TV of its seeded draws must fall
 if they are i.i.d. from the target.
 """
 
+import functools
 import math
 import time
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import opentasep as ot
 from opentasep.rng import stream
 
 # (criterion label, passed, detail, elapsed seconds), filled by test_acceptance
@@ -35,7 +38,7 @@ def sampler_path_law(table) -> np.ndarray:
     bitmasks are (i, j), indexed like `TwoLineTable.joint`.  Each step
     multiplies the table's conditional for the difference increment with r
     steps remaining and gap q: `prob_up[row(r)][q]` for (1, 0), half of
-    `prob_flat[row(r)][q]` for each side of the fair coin, (1, 1) and (0, 0), and
+    `prob_flat[row(r)][q]` for each flat increment, (1, 1) and (0, 0), and
     the remainder for (0, 1); q then moves by the increment, reflected at 0.
     """
     n = table.n_sites
@@ -110,3 +113,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def standard_grid():
     return [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0)]
+
+
+@pytest.fixture(scope="session")
+def triple_point_runs():
+    """The N = 2048 triple-point ensembles, computed once per session:
+    `scaled(u, v)` is 1e5 scaled samples at seed 7, `limit(u, v, n_steps)` is
+    2e5 limit paths at seed 101.  C6 and `TestFullProcessMatch` share the
+    (1, 1) and (-1, -1) draws."""
+
+    @functools.cache
+    def scaled(u, v):
+        return ot.sample_scaled_processes(ot.ScalingConfig(u, v, 2048), 10**5, seed=7)
+
+    @functools.cache
+    def limit(u, v, n_steps):
+        return ot.simulate_limit_process(u, v, n_steps, 2 * 10**5, seed=101)
+
+    return SimpleNamespace(scaled=scaled, limit=limit)

@@ -149,17 +149,17 @@ def test_criterion_5_scaled_endpoint_variance():
     assert passed
 
 
-def test_criterion_6_wminus_matches_limit_law():
+def test_criterion_6_wminus_matches_limit_law(triple_point_runs):
     t0 = time.time()
     details = []
     passed = True
     for u, v in [(1.0, 1.0), (1.0, -0.5), (-1.0, 0.3), (-1.0, -1.0)]:
-        cfg = ot.ScalingConfig(u, v, 2048)
-        scaled = ot.sample_scaled_processes(cfg, 10**5, seed=7)
+        # 1e5 samples at N = 2048, seed 7; limit paths 2e5 at seed 101
+        scaled = triple_point_runs.scaled(u, v)
         wm = scaled.w_minus[:, -1]
         w1_by_steps = {}
         for n_steps in (1024, 2048):
-            ens = ot.simulate_limit_process(u, v, n_steps, 2 * 10**5, seed=101)
+            ens = triple_point_runs.limit(u, v, n_steps)
             rep = ot.compare_distributions(wm, ens.omega_mesh[:, -1], ens.weights)
             w1_by_steps[n_steps] = rep.w1
         drift = abs(w1_by_steps[1024] - w1_by_steps[2048])

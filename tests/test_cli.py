@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import opentasep
-from opentasep import exact_engine, fluctuations, markov_oracle, two_line_sampler
+from opentasep import cli, exact_engine, fluctuations, markov_oracle, textio, two_line_sampler
 from opentasep.cli import main
+from opentasep.rng import stream
 
 
 def run(capsys, *argv):
@@ -118,6 +119,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sizes,limit_runs", [
+        (("--count", "5", "--limit-count", "10000000000"), False),
+        (("--count", "5", "--limit-count", "10", "--n-steps", "1000000000"), False),
+        (("--count", "10000000000", "--limit-count", "10"), True),
+    ], ids=["limit-count", "n-steps", "count"])
+    def test_fluct_size_caps(self, capsys, tmp_path, monkeypatch, sizes, limit_runs):
+        # output and block bytes over the cap exit 3 before any path is
+        # sampled; an oversized limit ensemble is refused before any draw
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled past a size cap")
+
+        monkeypatch.setattr(two_line_sampler, "_sample_chunk", forbidden)
+        if not limit_runs:
+            monkeypatch.setattr(fluctuations, "stream", forbidden)
+        code, out, err = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0",
+                             *sizes, "--seed", "1", "--out", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("resource error:") and err.count("\n") == 1
 
 
 class TestStationary:
@@ -229,6 +249,38 @@ class TestFluct:
             for i in range(count):
                 cells = lines[1 + j * count + i].split(",")
                 assert (float(cells[0]), int(cells[1]), float(cells[2])) == (x, i, w1[i, j])
+
+    def test_csvs_match_reference_writer(self, tmp_path):
+        # the three CSVs equal, byte for byte, rows of Python values joined
+        # by textio.write_csv one cell at a time; the columns repeat values
+        # (integers over sqrt(N)) and hold -0.0 beside 0.0
+        rng = stream(3)
+        mesh = (0.25, 0.5, 1.0)
+        w1 = rng.integers(-40, 41, size=(500, 3)) / math.sqrt(200)
+        w1[:4, 0] = [0.0, -0.0, 0.0, -0.0]
+        w_minus = rng.integers(0, 30, size=(500, 3)) / math.sqrt(200)
+        w_minus[7, 2] = -0.0
+        scaled = fluctuations.ScaledSample(mesh=mesh, w1=w1, w_plus=w1 - w_minus,
+                                           w_minus=w_minus)
+        omega = rng.normal(size=(300, 3))
+        omega[0] = [-0.0, 1e-300, 1e300]
+        weights = rng.exponential(size=300)
+        ens = fluctuations.LimitEnsemble(u=0.0, v=0.0, n_steps=100, mesh=mesh,
+                                         omega_mesh=omega, weights=weights,
+                                         kappa_hat=1.0, ess=300.0, degenerate=False)
+        files = {key: str(tmp_path / f"{key}.csv")
+                 for key in ("tle_w1", "tle_wminus", "limit")}
+        cli._write_fluct_csvs(files, mesh, scaled, ens)
+        for key, values in (("tle_w1", w1), ("tle_wminus", w_minus)):
+            textio.write_csv(tmp_path / "ref.csv", ["x", "sample_id", "value"],
+                             ((x, i, value) for x, column in zip(mesh, values.T)
+                              for i, value in enumerate(column.tolist())))
+            assert (tmp_path / f"{key}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        textio.write_csv(tmp_path / "ref.csv",
+                         ["sample_id", "weight"] + [f"value_at_{x}" for x in mesh],
+                         ([i, w] + row.tolist()
+                          for i, (w, row) in enumerate(zip(weights.tolist(), omega))))
+        assert (tmp_path / "limit.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestLdp:

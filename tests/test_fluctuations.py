@@ -6,12 +6,14 @@ import pytest
 
 from opentasep import (
     DomainError,
+    ResourceLimitError,
     ScalingConfig,
     compare_distributions,
     sample_scaled_height,
     sample_scaled_processes,
     simulate_limit_process,
 )
+from opentasep import fluctuations
 from opentasep.rng import stream
 
 
@@ -27,6 +29,18 @@ class TestScalingConfig:
     def test_positions(self):
         cfg = ScalingConfig(0.0, 0.0, 10, mesh=(0.25, 1.0))
         assert cfg.positions() == [2, 10]
+
+    @pytest.mark.parametrize("u,v,mesh", [
+        (math.nan, 0.0, (0.5, 1.0)), (0.0, math.nan, (0.5, 1.0)),
+        (math.inf, 0.0, (0.5, 1.0)), (0.0, 0.0, (math.nan, 1.0)),
+        (0.0, 0.0, (0.5, math.nan)), (0.0, 0.0, (math.nan,)),
+        (0.0, 0.0, (-0.5, 1.0)),
+    ])
+    def test_non_finite_inputs_rejected(self, u, v, mesh):
+        with pytest.raises(DomainError):
+            ScalingConfig(u, v, 16, mesh=mesh)
+        with pytest.raises(DomainError):
+            simulate_limit_process(u, v, 100, 10, seed=1, mesh=mesh)
 
 
 class TestScaledSampling:
@@ -109,6 +123,17 @@ class TestLimitSimulation:
         with pytest.raises(DomainError):
             simulate_limit_process(0.0, 0.0, 50, 100, seed=1)
 
+    @pytest.mark.parametrize("n_steps,count", [(1024, 10**10), (10**9, 10)])
+    def test_size_cap(self, monkeypatch, n_steps, count):
+        # the output and one block of paths over TABLE_BYTES_CAP are refused
+        # before any draw
+        def no_draws(*args):
+            raise AssertionError("drew past the size cap")
+
+        monkeypatch.setattr(fluctuations, "stream", no_draws)
+        with pytest.raises(ResourceLimitError):
+            simulate_limit_process(0.0, 0.0, n_steps, count, seed=1)
+
     def test_resampling_preserves_weighted_mean(self):
         ens = simulate_limit_process(1.0, 1.0, 256, 100_000, seed=4)
         x = ens.resample_x(100_000, seed=5)
@@ -190,12 +215,12 @@ class TestWminusMatch:
 
 class TestFullProcessMatch:
     @pytest.mark.parametrize("u,v", [(1.0, 1.0), (-1.0, -1.0)])
-    def test_w1_endpoint_matches_b_plus_x(self, u, v):
+    def test_w1_endpoint_matches_b_plus_x(self, u, v, triple_point_runs):
         # law of the scaled height endpoint against the simulated limit sum,
-        # covering both signs of u + v
-        cfg = ScalingConfig(u, v, 2048)
-        scaled = sample_scaled_processes(cfg, 10**5, seed=7)
-        ens = simulate_limit_process(u, v, 1024, 2 * 10**5, seed=101)
+        # covering both signs of u + v; N = 2048 with 1e5 samples at seed 7
+        # and 2e5 limit paths of 1024 steps at seed 101, shared with C6
+        scaled = triple_point_runs.scaled(u, v)
+        ens = triple_point_runs.limit(u, v, 1024)
         bx = ens.sample_b_plus_x(10**5, seed=55)
         rep = compare_distributions(scaled.w1[:, -1], bx[:, -1])
         assert rep.w1 <= 0.05

@@ -27,21 +27,21 @@ def digest(array, dtype):
 def test_sampler_paths():
     paths = sample_two_line(build_partition_table(40, 0.3, 0.45), 3000, seed=11)
     assert digest(paths.s1, "<i4") == (
-        "db7b01516fb010f01cc549f2f66fa5430a04b63651373a10934f075b8a7a8008")
+        "857abd1dc34c275468cf4599c5e6abbd9995ba86a12b172cc93541826f8524cd")
     assert digest(paths.s2, "<i4") == (
-        "111af9d6028334c7e7f3642b8044f3505ee7ac00942f4d58c589ae2090f44879")
+        "7138f9b54fb1e23a4954297c82116d01b7c4d24d3f195fdaaddc78a0a92e07b4")
 
 
 def test_sampler_functionals():
     table = build_partition_table(40, 0.3, 0.45)
     s1, d = sample_functionals(table, 3000, seed=11, positions=[0, 10, 40])
     assert digest(s1, "<i4") == (
-        "61edbbafc4b158e074d44e092c12f879592a2443771a5000277f648ad9ac4206")
+        "ca3139cd4fb586e2cd1ccde22c72c23f6d547332d7cef5fb29466b5695a374c1")
     assert digest(d, "<i4") == (
-        "30398140f9f6a117e524d7ce11194b4b151d6972ee4bd8938a5883111bca46fc")
+        "3ca06d07151f0aa07081b26bfe9084e104d897d32667f2e18c06db73c74b7aa0")
 
 
 def test_limit_paths():
     ens = simulate_limit_process(-1.0, 0.3, 128, 5000, 3)
     assert digest(ens.omega_mesh, "<f8") == (
-        "e19fe925d43ed489ad4d1f10c104077991923a5678330beddf057c0f89a7be30")
+        "44cb8115b3ee16e148052270df37f5d39d4b3b90f8e29214fe2486059208e480")

@@ -165,6 +165,20 @@ class TestSampler:
         with pytest.raises(AssertionError):  # the largest count within the cap passes
             sample_two_line(t, count, seed=1)
 
+    def test_functionals_cap(self, monkeypatch):
+        # 8 * count * len(positions) bytes of int32 output over
+        # TABLE_BYTES_CAP is refused before any chunk is sampled
+        def no_sampling(*args):
+            raise AssertionError("sampled past the functionals cap")
+
+        monkeypatch.setattr(two_line_sampler, "_sample_chunk", no_sampling)
+        t = build_partition_table(10, 0.5, 0.8)
+        count = two_line_sampler.TABLE_BYTES_CAP // (8 * 3)
+        with pytest.raises(ResourceLimitError):
+            sample_functionals(t, count + 1, seed=1, positions=[0, 5, 10])
+        with pytest.raises(AssertionError):  # the largest count within the cap passes
+            sample_functionals(t, count, seed=1, positions=[0, 5, 10])
+
     def test_joint_frequencies_chi_square(self):
         # goodness-of-fit of 10^6 draws against the enumerated joint;
         # the statistic is within 5 sigma of its df for an exact sampler
@@ -216,6 +230,53 @@ class TestSampler:
             s1, d = sample_functionals(t, 5000, seed=21, positions=positions)
             assert np.array_equal(s1, paths.s1[:, positions])
             assert np.array_equal(d, paths.s1[:, positions] - paths.s2[:, positions])
+
+
+class _Uniforms:
+    """Stands in for a Generator: random(count) returns the next given array."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, count):
+        u = self.draws.pop(0)
+        assert u.shape == (count,)
+        return u
+
+
+class TestStepRule:
+    """One uniform u per step, cut at h = P(0)/2, h + P(+1) and P(+1) + P(0)
+    into the joint increments (0,0) | (1,0) | (1,1) | (0,1)."""
+
+    # increments for u just below, at and just above each of the three cuts
+    WANT = [(0, 0), (1, 0), (1, 0), (1, 0), (1, 1), (1, 1), (1, 1), (0, 1), (0, 1)]
+
+    @staticmethod
+    def around_cuts(table, r, q):
+        p_up = table.prob_up[table.row(r)][q]
+        p_flat = table.prob_flat[table.row(r)][q]
+        h = 0.5 * p_flat
+        cuts = (h, h + p_up, p_up + p_flat)
+        assert 0.0 < cuts[0] < cuts[1] < cuts[2] < 1.0
+        return np.array([u for c in cuts
+                         for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))])
+
+    def test_cuts_at_gap_zero(self):
+        t = build_partition_table(2, 0.5, 2.0)
+        u = self.around_cuts(t, 2, 0)
+        s1, s2 = two_line_sampler._sample_chunk(t, u.size, _Uniforms(u, np.zeros(u.size)), [1])
+        assert list(zip(s1[:, 0].tolist(), s2[:, 0].tolist())) == self.WANT
+
+    def test_cuts_at_positive_gap(self):
+        # u = h exactly forces (1, 0) on the first step, so the second step
+        # starts at gap q = 1 with one step remaining
+        t = build_partition_table(2, 0.5, 2.0)
+        u = self.around_cuts(t, 1, 1)
+        first = np.full(u.size, 0.5 * t.prob_flat[t.row(2)][0])
+        s1, s2 = two_line_sampler._sample_chunk(t, u.size, _Uniforms(first, u), [1, 2])
+        assert (s1[:, 0] == 1).all() and (s2[:, 0] == 0).all()
+        steps = list(zip((s1[:, 1] - s1[:, 0]).tolist(), (s2[:, 1] - s2[:, 0]).tolist()))
+        assert steps == self.WANT
 
 
 class TestMaximalInequalities:
