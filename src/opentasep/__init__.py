@@ -40,6 +40,7 @@ from .fluctuations import (
     compare_distributions,
     sample_scaled_height,
     sample_scaled_processes,
+    simulate_limit_exact,
     simulate_limit_process,
 )
 from .ldp import (

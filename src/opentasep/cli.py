@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     p.add_argument("--v", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--limit-count", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
 
@@ -361,12 +360,11 @@ def cmd_fluct(args) -> int:
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
     os.makedirs(args.out, exist_ok=True)
     # refuse a bad or oversized limit ensemble before the sampling starts
-    fluctuations.check_limit_request(args.u, args.v, args.n_steps, limit_count, cfg.mesh)
+    fluctuations.check_limit_request(args.u, args.v, limit_count, cfg.mesh)
     scaled = fluctuations.sample_scaled_processes(cfg, args.count, args.seed,
                                                   threads=args.threads)
-    ens = fluctuations.simulate_limit_process(args.u, args.v, args.n_steps,
-                                              limit_count, args.seed + 1,
-                                              mesh=cfg.mesh)
+    ens = fluctuations.simulate_limit_exact(args.u, args.v, limit_count, args.seed + 1,
+                                            mesh=cfg.mesh)
     if ens.degenerate:
         print(f"warning: importance-sampling ESS {ens.ess:.1f} below 1% of "
               f"{limit_count}", file=sys.stderr)
@@ -384,7 +382,7 @@ def cmd_fluct(args) -> int:
     payload = {
         "n": args.n, "u": args.u, "v": args.v,
         "count": args.count, "limit_count": limit_count,
-        "n_steps": args.n_steps, "seed": args.seed,
+        "n_steps": ens.n_steps, "seed": args.seed,
         "kappa_hat": ens.kappa_hat, "ess": ens.ess, "degenerate": ens.degenerate,
         "w_minus_vs_limit": per_mesh,
         "w1_vs_b_plus_x_at_1": {"ks": full.ks, "w1": full.w1},

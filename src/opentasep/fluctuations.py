@@ -8,10 +8,13 @@ a variance-1/2 Brownian path reweighted by
 
     exp((u + v) min_{[0,1]} omega  -  v omega(1)) / kappa(u, v).
 
-X is simulated by importance reweighting of discretized Brownian paths (the
-continuum minimum replaced by the grid minimum; refinement stability is part
-of the acceptance checks), with self-normalized systematic resampling to
-produce unweighted paths for the B + X sum.
+X is simulated by importance reweighting of variance-1/2 Brownian paths, with
+self-normalized systematic resampling to produce unweighted paths for the
+B + X sum.  simulate_limit_exact draws each path at the mesh points and the
+exact minimum of its Brownian bridge across each mesh interval, so the tilt
+sees the continuum minimum.  simulate_limit_process, the grid reference,
+walks discretized paths and replaces the continuum minimum by the grid
+minimum; refinement stability is part of the acceptance checks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ import numpy as np
 
 from .core import DomainError, check_bytes, check_mesh, check_uv, params_from_scaling
 from .rng import stream
-from .two_line_sampler import TABLE_BYTES_CAP, build_partition_table, sample_functionals
+from .two_line_sampler import (
+    TABLE_BYTES_CAP,
+    build_partition_table,
+    check_functionals_bytes,
+    sample_functionals,
+)
 
 DEFAULT_MESH = (0.25, 0.5, 0.75, 1.0)
 _BLOCK = 4096
@@ -64,6 +72,7 @@ def sample_scaled_processes(cfg: ScalingConfig, count: int, seed: int,
                             threads: int = 1) -> ScaledSample:
     p = params_from_scaling(cfg.u, cfg.v, cfg.n)
     positions = cfg.positions()
+    check_functionals_bytes(count, len(positions))  # before the table is built
     # no local holds the table, so it is freed before the scaling below
     s1, d = sample_functionals(build_partition_table(cfg.n, p.a, p.b), count, seed,
                                positions, threads=threads)
@@ -83,12 +92,13 @@ def sample_scaled_height(cfg: ScalingConfig, count: int, seed: int,
 
 @dataclass(frozen=True)
 class LimitEnsemble:
-    """Weighted discretized-Brownian paths approximating the tilted component.
+    """Weighted Brownian paths approximating the tilted component.
 
     omega_mesh holds the reference paths at the mesh points; weights are the
     raw (unnormalized) tilts, so kappa_hat is their plain mean.  ess is the
     effective sample size (sum w)^2 / sum w^2; degenerate flags ess below 1%
-    of the sample count.
+    of the sample count.  n_steps is the grid the paths were walked on, or 0
+    for an exact ensemble (simulate_limit_exact).
     """
 
     u: float
@@ -126,20 +136,63 @@ class LimitEnsemble:
         return x + np.cumsum(incr, axis=1)
 
 
-def check_limit_request(u: float, v: float, n_steps: int, count: int,
-                        mesh: tuple[float, ...]) -> tuple[float, ...]:
-    """Refuse a simulate_limit_process call outside its domain or over the
-    memory cap, before any work; returns the checked mesh."""
+def check_limit_request(u: float, v: float, count: int, mesh: tuple[float, ...],
+                        n_steps: int = 0) -> tuple[float, ...]:
+    """Refuse a limit ensemble outside its domain or over the memory cap,
+    before any work; returns the checked mesh.  n_steps is the grid of
+    simulate_limit_process, whose working block holds min(4096, count) paths
+    of n_steps points, or 0 for simulate_limit_exact, whose block holds a few
+    arrays of that many paths at the mesh points."""
     check_uv(u, v)
-    if n_steps < 100:
-        raise DomainError("n_steps must be >= 100")
     if count < 1:
         raise DomainError("count must be >= 1")
     mesh = check_mesh(mesh)
-    check_bytes(8 * count * (len(mesh) + 1) + 8 * min(_BLOCK, count) * n_steps,
-                TABLE_BYTES_CAP,  # omega_mesh and weights, plus one block of paths
-                f"simulating {count} limit paths of {n_steps} steps")
+    block_cells = n_steps or 4 * len(mesh)
+    check_bytes(8 * count * (len(mesh) + 1) + 8 * min(_BLOCK, count) * block_cells,
+                TABLE_BYTES_CAP,  # omega_mesh and weights, plus one working block
+                f"simulating {count} limit paths")
     return mesh
+
+
+def _weighted_ensemble(u: float, v: float, n_steps: int, mesh: tuple[float, ...],
+                       omega_mesh: np.ndarray, path_min: np.ndarray) -> LimitEnsemble:
+    """The ensemble of paths omega_mesh (last column omega(1)) with minima
+    path_min, each weighted by its raw tilt exp((u+v) * min - v * omega(1))."""
+    weights = np.exp((u + v) * path_min - v * omega_mesh[:, -1])
+    ess = float(weights.sum() ** 2 / np.square(weights).sum())
+    return LimitEnsemble(
+        u=u, v=v, n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
+        weights=weights, kappa_hat=float(weights.mean()), ess=ess,
+        degenerate=ess < ESS_WARN_FRACTION * weights.size,
+    )
+
+
+def simulate_limit_exact(u: float, v: float, count: int, seed: int,
+                         mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
+    """Importance-sample the tilted Brownian component exactly at the mesh.
+
+    Block i of up to 4096 paths draws from stream (seed, i): Gaussian
+    increments of variance dt/2 across each mesh interval of length dt, then
+    one standard exponential E per interval.  Given its values x and y at the
+    interval's ends, the path's minimum over the interval is that of a
+    Brownian bridge, (x + y - sqrt((y - x)^2 + dt E)) / 2 (Glasserman 2004,
+    section 6.4), so the raw weight exp((u+v) * min - v * omega(1)) uses the
+    continuum minimum.  The ensemble's n_steps is 0: there is no grid.
+    """
+    mesh = check_limit_request(u, v, count, mesh)
+    dt = np.diff(mesh, prepend=0.0)
+    omega_mesh = np.empty((count, len(mesh)))
+    path_min = np.empty(count)
+    for block_idx, start in enumerate(range(0, count, _BLOCK)):
+        rng = stream(seed, block_idx)
+        omega = omega_mesh[start : start + _BLOCK]
+        incr = rng.standard_normal(omega.shape) * np.sqrt(dt / 2.0)
+        np.cumsum(incr, axis=1, out=omega)
+        spread = np.square(incr) + dt * rng.standard_exponential(omega.shape)
+        left = omega - incr  # the path at each interval's left end
+        lows = (left + omega - np.sqrt(spread)) / 2.0
+        path_min[start : start + _BLOCK] = np.minimum(lows.min(axis=1), 0.0)
+    return _weighted_ensemble(u, v, 0, mesh, omega_mesh, path_min)
 
 
 def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
@@ -151,11 +204,13 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
     variance 1/(2 n_steps)); the raw weight of a path is
     exp((u+v) * grid-min - v * endpoint).
     """
-    mesh = check_limit_request(u, v, n_steps, count, mesh)
+    if n_steps < 100:
+        raise DomainError("n_steps must be >= 100")
+    mesh = check_limit_request(u, v, count, mesh, n_steps)
     cols = [int(round(x * n_steps)) for x in mesh]
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
     omega_mesh = np.empty((count, len(mesh)))
-    weights = np.empty(count)
+    grid_min = np.empty(count)
     buf = np.empty((min(_BLOCK, count), n_steps))
     done = 0
     block_idx = 0
@@ -165,20 +220,13 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
         stream(seed, block_idx).standard_normal(out=paths)
         paths *= sigma  # the values rng.normal(0.0, sigma) draws
         np.cumsum(paths, axis=1, out=paths)
-        grid_min = np.minimum(paths.min(axis=1), 0.0)  # grid includes omega(0) = 0
-        endpoint = paths[:, -1]
-        weights[done : done + size] = np.exp((u + v) * grid_min - v * endpoint)
+        # the grid includes omega(0) = 0
+        grid_min[done : done + size] = np.minimum(paths.min(axis=1), 0.0)
         for i, c in enumerate(cols):
             omega_mesh[done : done + size, i] = 0.0 if c == 0 else paths[:, c - 1]
         done += size
         block_idx += 1
-    kappa_hat = float(weights.mean())
-    ess = float(weights.sum() ** 2 / np.square(weights).sum())
-    return LimitEnsemble(
-        u=u, v=v, n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
-        weights=weights, kappa_hat=kappa_hat, ess=ess,
-        degenerate=ess < ESS_WARN_FRACTION * count,
-    )
+    return _weighted_ensemble(u, v, n_steps, mesh, omega_mesh, grid_min)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,13 @@ def sample_two_line(table: PartitionTable, count: int, seed: int,
     return SamplePaths(s1=s1, s2=s2)
 
 
+def check_functionals_bytes(count: int, n_positions: int) -> None:
+    """Refuse storing count samples of int32 s1 and s1 - s2 at n_positions
+    path positions when they would pass TABLE_BYTES_CAP."""
+    check_bytes(8 * count * n_positions, TABLE_BYTES_CAP,
+                f"storing {count} samples at {n_positions} positions")
+
+
 def sample_functionals(table: PartitionTable, count: int, seed: int,
                        positions: list[int], threads: int = 1):
     """Sampled (s1, s1-s2) values at the given path positions only.
@@ -251,8 +258,7 @@ def sample_functionals(table: PartitionTable, count: int, seed: int,
     wanted = [int(k) for k in positions]
     if any(not 0 <= k <= table.n_sites for k in wanted):
         raise DomainError("record positions must lie in 0..n")
-    check_bytes(8 * count * len(wanted), TABLE_BYTES_CAP,  # int32 s1 and s1 - s2
-                f"storing {count} samples at {len(wanted)} positions")
+    check_functionals_bytes(count, len(wanted))
     unique = sorted(set(wanted))
     s1, s2 = _run_chunks(table, count, seed, unique, threads)
     cols = [unique.index(k) for k in wanted]

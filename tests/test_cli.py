@@ -122,15 +122,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sizes,limit_runs", [
         (("--count", "5", "--limit-count", "10000000000"), False),
-        (("--count", "5", "--limit-count", "10", "--n-steps", "1000000000"), False),
         (("--count", "10000000000", "--limit-count", "10"), True),
-    ], ids=["limit-count", "n-steps", "count"])
+    ], ids=["limit-count", "count"])
     def test_fluct_size_caps(self, capsys, tmp_path, monkeypatch, sizes, limit_runs):
-        # output and block bytes over the cap exit 3 before any path is
-        # sampled; an oversized limit ensemble is refused before any draw
+        # output bytes over the cap exit 3 before the partition table is built
+        # or any path is sampled; an oversized limit ensemble is refused
+        # before any draw
         def forbidden(*args, **kwargs):
-            raise AssertionError("sampled past a size cap")
+            raise AssertionError("worked past a size cap")
 
+        monkeypatch.setattr(fluctuations, "build_partition_table", forbidden)
         monkeypatch.setattr(two_line_sampler, "_sample_chunk", forbidden)
         if not limit_runs:
             monkeypatch.setattr(fluctuations, "stream", forbidden)
@@ -138,6 +139,15 @@ class TestExitCodes:
                              *sizes, "--seed", "1", "--out", str(tmp_path))
         assert code == 3 and out == ""
         assert err.startswith("resource error:") and err.count("\n") == 1
+
+
+    def test_fluct_has_no_n_steps(self, capsys, tmp_path):
+        # fluct draws its limit ensemble exactly, so there is no grid to set
+        code, out, err = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0",
+                             "--count", "5", "--n-steps", "128", "--seed", "1",
+                             "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "--n-steps" in err
 
 
 class TestStationary:
@@ -218,7 +228,7 @@ class TestSample:
 class TestFluct:
     def test_summary_schema_and_determinism(self, capsys, tmp_path):
         args = ("fluct", "--u", "1", "--v", "-0.5", "--n", "128", "--count", "4000",
-                "--limit-count", "8000", "--n-steps", "128", "--seed", "7")
+                "--limit-count", "8000", "--seed", "7")
         code, out1, _ = run(capsys, *args, "--out", str(tmp_path / "f1"))
         assert code == 0
         payload = json.loads(out1)
@@ -238,7 +248,7 @@ class TestFluct:
         count, seed = 300, 7
         code, _, _ = run(capsys, "fluct", "--u", "1", "--v", "-0.5", "--n", "128",
                          "--count", str(count), "--limit-count", "600",
-                         "--n-steps", "128", "--seed", str(seed), "--out", str(tmp_path))
+                         "--seed", str(seed), "--out", str(tmp_path))
         assert code == 0
         cfg = fluctuations.ScalingConfig(u=1.0, v=-0.5, n=128)
         w1 = fluctuations.sample_scaled_processes(cfg, count, seed).w1

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import erfcx
 
 from opentasep import (
     DomainError,
@@ -11,10 +13,38 @@ from opentasep import (
     compare_distributions,
     sample_scaled_height,
     sample_scaled_processes,
+    simulate_limit_exact,
     simulate_limit_process,
 )
 from opentasep import fluctuations
 from opentasep.rng import stream
+
+# C6's (u, v) points and kappa(u, v) there, to five decimals
+C6_KAPPA = {(1.0, 1.0): 0.35935, (1.0, -0.5): 0.86334, (-1.0, 0.3): 1.69819,
+            (-1.0, -1.0): 3.49273}
+
+
+def exact_kappa(u, v):
+    """kappa(u, v) = E exp((u+v) M - v E) for variance-1/2 Brownian motion on
+    [0, 1] with minimum M and endpoint E.  By the reflection principle,
+    (M, E) has density 2 z / (s^3 sqrt(2 pi)) exp(-z^2 / (2 s^2)) at
+    z = E - 2M >= |E| (s^2 = 1/2), so with k = (u+v)/2
+    kappa = int exp((k - v) e) I(|e|) de / (s^3 sqrt(2 pi)), where
+    I(a) = int_a^inf z exp(-z^2 / (2 s^2) - k z) dz is written with the
+    scaled erfcx so that no factor overflows."""
+    s2 = 0.5
+    s = math.sqrt(s2)
+    k = (u + v) / 2.0
+
+    def integrand(e):
+        a = abs(e)
+        t = (a + s2 * k) / (s * math.sqrt(2.0))
+        inner = s2 * (1.0 - k * s * math.sqrt(math.pi / 2.0) * erfcx(t))
+        return math.exp((k - v) * e - a * a / (2.0 * s2) - a * k) * inner
+
+    total = sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)[0]
+                for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
+    return total / (s ** 3 * math.sqrt(2.0 * math.pi))
 
 
 class TestScalingConfig:
@@ -41,6 +71,8 @@ class TestScalingConfig:
             ScalingConfig(u, v, 16, mesh=mesh)
         with pytest.raises(DomainError):
             simulate_limit_process(u, v, 100, 10, seed=1, mesh=mesh)
+        with pytest.raises(DomainError):
+            simulate_limit_exact(u, v, 10, seed=1, mesh=mesh)
 
 
 class TestScaledSampling:
@@ -155,6 +187,38 @@ class TestLimitSimulation:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 4096 * 1024 * 8
+
+
+class TestExactLimit:
+    def test_exact_kappa_at_origin(self):
+        assert abs(exact_kappa(0.0, 0.0) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("u,v", list(C6_KAPPA))
+    def test_kappa_hat_matches_exact_law(self, u, v):
+        kappa = exact_kappa(u, v)
+        assert kappa == pytest.approx(C6_KAPPA[u, v], abs=5e-6)
+        ens = simulate_limit_exact(u, v, 200_000, seed=101)
+        se = ens.weights.std(ddof=1) / math.sqrt(ens.count)
+        assert abs(ens.kappa_hat - kappa) <= 4.0 * se
+        assert ens.n_steps == 0 and not ens.degenerate
+
+    @pytest.mark.parametrize("u,v", [(1.0, 1.0), (-1.0, -1.0)])
+    def test_grid_kappa_approaches_exact(self, u, v, triple_point_runs):
+        # the grid minimum biases kappa_hat by about sqrt(dt); C6's 2e5-path
+        # ensembles at 1024 and 2048 steps show the bias shrinking
+        kappa = exact_kappa(u, v)
+        errors = [abs(triple_point_runs.limit(u, v, n_steps).kappa_hat - kappa)
+                  for n_steps in (1024, 2048)]
+        assert errors[1] < errors[0]
+
+    def test_zero_length_intervals(self):
+        # a mesh point at 0 and a repeated point give intervals of length 0,
+        # whose bridge minimum is the path's value there
+        ens = simulate_limit_exact(1.0, -0.5, 10_000, seed=3, mesh=(0.0, 0.5, 0.5, 1.0))
+        assert np.isfinite(ens.omega_mesh).all() and np.isfinite(ens.weights).all()
+        assert (ens.omega_mesh[:, 0] == 0.0).all()
+        assert np.array_equal(ens.omega_mesh[:, 1], ens.omega_mesh[:, 2])
+        assert (ens.weights > 0.0).all() and np.isfinite(ens.ess)
 
 
 class TestDistances:

@@ -1,7 +1,7 @@
 """Byte-identical outputs at fixed seeds.
 
-The digests below pin how the sampler and the limit simulator consume their
-random streams.  A change that keeps the streams (memory layout, kernel
+The digests below pin how the sampler and the two limit simulators consume
+their random streams.  A change that keeps the streams (memory layout, kernel
 rewrites) must keep these digests; a change that consumes the streams
 differently (say, one uniform per sampler step instead of two) updates them
 and says so in CHANGES.md.  The limit ensemble's `weights` are left out: they
@@ -16,6 +16,7 @@ from opentasep import (
     build_partition_table,
     sample_functionals,
     sample_two_line,
+    simulate_limit_exact,
     simulate_limit_process,
 )
 
@@ -45,3 +46,9 @@ def test_limit_paths():
     ens = simulate_limit_process(-1.0, 0.3, 128, 5000, 3)
     assert digest(ens.omega_mesh, "<f8") == (
         "44cb8115b3ee16e148052270df37f5d39d4b3b90f8e29214fe2486059208e480")
+
+
+def test_limit_exact_paths():
+    ens = simulate_limit_exact(-1.0, 0.3, 5000, 3)
+    assert digest(ens.omega_mesh, "<f8") == (
+        "ecf1273f03e9d92ce1b564661ab741907d469158b8a448a6916f0ee09d8a22e8")

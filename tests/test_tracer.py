@@ -35,9 +35,9 @@ CASES = {
                {"two_line_sampler.build_partition_table", "two_line_sampler.sample_two_line",
                 "two_line_sampler.SamplePaths.write_csv", "textio.write_csv"}),
     "fluct": (["fluct", "--n", "64", "--u", "-1", "--v", "0.3", "--count", "200",
-               "--n-steps", "128", "--seed", "1", "--out", "f"],
+               "--seed", "1", "--out", "f"],
               {"fluctuations.sample_scaled_processes", "two_line_sampler.build_partition_table",
-               "two_line_sampler.sample_functionals", "fluctuations.simulate_limit_process",
+               "two_line_sampler.sample_functionals",
                "fluctuations.LimitEnsemble.sample_b_plus_x", "fluctuations.compare_distributions",
                "textio.write_csv"}),
     "verify": (["verify", "--n-max", "3", "--out", "v.json"],
