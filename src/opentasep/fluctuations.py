@@ -157,9 +157,15 @@ def check_limit_request(u: float, v: float, count: int, mesh: tuple[float, ...],
 def _weighted_ensemble(u: float, v: float, n_steps: int, mesh: tuple[float, ...],
                        omega_mesh: np.ndarray, path_min: np.ndarray) -> LimitEnsemble:
     """The ensemble of paths omega_mesh (last column omega(1)) with minima
-    path_min, each weighted by its raw tilt exp((u+v) * min - v * omega(1))."""
-    weights = np.exp((u + v) * path_min - v * omega_mesh[:, -1])
-    ess = float(weights.sum() ** 2 / np.square(weights).sum())
+    path_min, each weighted by its raw tilt exp((u+v) * min - v * omega(1)).
+    A tilt out of floating-point range (a weight or the ESS overflows, or
+    every weight underflows to 0) leaves the ESS non-finite and is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp((u + v) * path_min - v * omega_mesh[:, -1])
+        ess = float(weights.sum() ** 2 / np.square(weights).sum())
+    if not math.isfinite(ess):
+        raise DomainError(f"the limit tilt at (u, v) = ({u!r}, {v!r}) is out of "
+                          "floating-point range for the weights or their ESS")
     return LimitEnsemble(
         u=u, v=v, n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
         weights=weights, kappa_hat=float(weights.mean()), ess=ess,
@@ -242,12 +248,17 @@ def compare_distributions(sample_a, sample_b, weights_b=None) -> DistanceReport:
     xb = np.asarray(sample_b, dtype=float).ravel()
     if xa.size == 0 or xb.size == 0:
         raise DomainError("samples must be nonempty")
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise DomainError("samples must be finite")
     if weights_b is None:
         wb = np.full(xb.size, 1.0 / xb.size)
     else:
         wb = np.asarray(weights_b, dtype=float).ravel()
-        if wb.size != xb.size or (wb < 0).any() or wb.sum() <= 0:
-            raise DomainError("weights_b must be nonnegative, matching sample_b")
+        if wb.size != xb.size or not (
+            np.isfinite(wb).all() and (wb >= 0).all() and wb.sum() > 0
+        ):
+            raise DomainError("weights_b must be finite, nonnegative, not all zero "
+                              "and match sample_b")
         wb = wb / wb.sum()
     order = np.argsort(xb, kind="stable")
     xb = xb[order]

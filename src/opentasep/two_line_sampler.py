@@ -40,7 +40,7 @@ from . import textio
 
 BUILD_CAP = 100_000
 ENDPOINT_CAP = 120
-TABLE_BYTES_CAP = 6 * 10 ** 9   # bytes of the full table (~12 N^2) and of stored paths
+TABLE_BYTES_CAP = 6 * 10 ** 9   # bytes of the full table (~8 N^2) and of stored paths
 CHUNK = 1 << 15
 
 LOG2 = math.log(2.0)
@@ -48,13 +48,14 @@ LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Backward table of log L_r(q) plus precomputed step conditionals.
+    """Exact step conditionals of the backward recursion, plus log L_r(0).
 
-    The arrays are packed triangles: row r (r steps remaining) sits at
-    `row(r)` and holds q = 0..n-r+1 (reachable states plus the lookup margin).
-    `log_l[row(r)][q]` is log L_r(q); `prob_up[row(r)][q]` and
-    `prob_flat[row(r)][q]` are the exact conditional probabilities of
-    difference increment +1 and 0 (NaN at r = 0); -1 takes the remainder.
+    prob_up and prob_flat are packed triangles: row r (r steps remaining)
+    sits at `row(r)` and holds q = 0..n-r+1 (reachable states plus the lookup
+    margin).  `prob_up[row(r)][q]` and `prob_flat[row(r)][q]` are the exact
+    conditional probabilities of difference increment +1 and 0 (NaN at
+    r = 0); -1 takes the remainder.  `log_l[r]` is log L_r(0) for r = 0..n,
+    so `log_l[r] - r log 4` is log c of an r-site system with the same (a, b).
     """
 
     n_sites: int
@@ -72,17 +73,7 @@ class PartitionTable:
     @property
     def log_c(self) -> float:
         """log of the normalizing constant sum(weights)/4^N."""
-        return float(self.log_l[self.row(self.n_sites)][0]) - self.n_sites * math.log(4.0)
-
-    def value(self, j: int, d: int, m: int) -> float:
-        """Log partition value V_j(d, m) over suffixes of a state with
-        difference d and running minimum m after j steps."""
-        n = self.n_sites
-        if not 0 <= j <= n:
-            raise DomainError(f"step index {j} outside 0..{n}")
-        if abs(d) > j or m > min(0, d) or m < -j or d - m > j:
-            raise DomainError(f"state (d={d}, m={m}) unreachable at step {j}")
-        return -m * math.log(self.a) + float(self.log_l[self.row(n - j)][d - m])
+        return float(self.log_l[self.n_sites]) - self.n_sites * math.log(4.0)
 
 
 def _log_l_rows(n: int, a: float, b: float, log_b: float):
@@ -107,7 +98,7 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
 
     With log_c_only=True only the normalizing constant is computed with O(N)
     memory and the return value is the float log c; otherwise the full table
-    needed for sampling is built one row at a time (~12 N^2 bytes).
+    needed for sampling is built one row at a time (~8 N^2 bytes).
     """
     check_size(n, BUILD_CAP)
     check_ab(a, b)
@@ -118,8 +109,10 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
             last = row
         return float(last[0]) - n * math.log(4.0)
     size = (n + 1) * (n + 4) // 2
-    check_bytes(24 * size, TABLE_BYTES_CAP, f"building the full table for n={n}")
-    log_l, prob_up, prob_flat = np.empty((3, size))
+    check_bytes(16 * size + 8 * (n + 1), TABLE_BYTES_CAP,
+                f"building the full table for n={n}")
+    prob_up, prob_flat = np.empty((2, size))
+    log_l = np.empty(n + 1)
     table = PartitionTable(
         n_sites=n, a=a, b=b, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat
     )
@@ -128,7 +121,7 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
     for r, row in enumerate(_log_l_rows(n, a, b, log_b)):
         cells = table.row(r)
         cur = row[: n - r + 2]
-        log_l[cells] = cur
+        log_l[r] = cur[0]
         if r:
             prob_up[cells] = np.exp(prev[1:] - cur)
             prob_flat[cells] = np.exp(LOG2 + prev[:-1] - cur)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -140,6 +141,19 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("resource error:") and err.count("\n") == 1
 
+
+    def test_fluct_tilt_overflow(self, capsys, tmp_path):
+        # exp((u+v) min - v omega(1)) overflows at (u, v) = (-500, -500): a
+        # domain error before any output, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fluct", "--n", "64", "--u", "-500",
+                                 "--v", "-500", "--count", "100", "--seed", "1",
+                                 "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert "(-500.0, -500.0)" in err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_fluct_has_no_n_steps(self, capsys, tmp_path):
         # fluct draws its limit ensemble exactly, so there is no grid to set

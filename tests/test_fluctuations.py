@@ -264,6 +264,19 @@ class TestDistances:
         with pytest.raises(DomainError):
             compare_distributions([], [1.0])
 
+    @pytest.mark.parametrize("sample_a,sample_b,weights_b", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], None),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], None),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -1.0, 1.0]),
+    ], ids=["nan-a", "inf-b", "nan-weight", "inf-weight", "zero-weights",
+            "negative-weight"])
+    def test_non_finite_rejected(self, sample_a, sample_b, weights_b):
+        with pytest.raises(DomainError):
+            compare_distributions(sample_a, sample_b, weights_b)
+
 
 class TestWminusMatch:
     def test_scaled_difference_matches_limit_small(self):

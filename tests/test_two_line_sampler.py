@@ -37,6 +37,18 @@ def log_c_plain(n, a, b):
     return math.log(row[0]) - n * math.log(4.0)
 
 
+def log_value(rows, a, j, d, m):
+    """Log partition value V_j(d, m) = -m log a + log L_{n-j}(d - m) over
+    suffixes of a state with difference d and running minimum m after j of
+    n = len(rows) - 1 steps, read from the rows of _log_l_rows."""
+    n = len(rows) - 1
+    if not 0 <= j <= n:
+        raise DomainError(f"step index {j} outside 0..{n}")
+    if abs(d) > j or m > min(0, d) or m < -j or d - m > j:
+        raise DomainError(f"state (d={d}, m={m}) unreachable at step {j}")
+    return -m * math.log(a) + float(rows[n - j][d - m])
+
+
 def joint_counts(paths, n):
     d1, d2 = paths.increments()
     powers = 1 << np.arange(n, dtype=np.int64)
@@ -47,7 +59,7 @@ def joint_counts(paths, n):
 class TestPartitionTable:
     def test_single_site_value(self):
         t = build_partition_table(1, 2.0, 1.0)
-        assert math.exp(t.log_l[t.row(1)][0]) == pytest.approx(5.0)  # 1 + a + b + 1
+        assert math.exp(t.log_l[1]) == pytest.approx(5.0)  # 1 + a + b + 1
 
     def test_log_c_triple_point(self):
         t = build_partition_table(2, 1.0, 1.0)
@@ -63,8 +75,8 @@ class TestPartitionTable:
     def test_value_recurrence(self):
         # V_j(d, m) satisfies the backward recurrence with multiplicities
         # (1, 2, 1) and terminal values d log b - m log(ab)
-        t = build_partition_table(4, 2.0, 0.5)
         a, b = 2.0, 0.5
+        rows = list(_log_l_rows(4, a, b, math.log(b)))
         for j in range(4):
             for d in range(-j, j + 1):
                 for m in range(-j, min(0, d) + 1):
@@ -74,22 +86,23 @@ class TestPartitionTable:
                     for delta, mult in ((-1, 1.0), (0, 2.0), (1, 1.0)):
                         nd = d + delta
                         nm = min(m, nd)
-                        acc = np.logaddexp(acc, math.log(mult) + t.value(j + 1, nd, nm))
-                    assert t.value(j, d, m) == pytest.approx(acc, rel=1e-12)
+                        acc = np.logaddexp(acc, math.log(mult)
+                                           + log_value(rows, a, j + 1, nd, nm))
+                    assert log_value(rows, a, j, d, m) == pytest.approx(acc, rel=1e-12)
         for d in range(-4, 5):
             for m in range(-4, min(0, d) + 1):
                 if d - m > 4:
                     continue
-                assert t.value(4, d, m) == pytest.approx(
+                assert log_value(rows, a, 4, d, m) == pytest.approx(
                     d * math.log(b) - m * math.log(a * b), rel=1e-12
                 )
 
     def test_value_rejects_unreachable(self):
-        t = build_partition_table(4, 2.0, 0.5)
+        rows = list(_log_l_rows(4, 2.0, 0.5, math.log(0.5)))
         with pytest.raises(DomainError):
-            t.value(1, 2, 0)
+            log_value(rows, 2.0, 1, 2, 0)
         with pytest.raises(DomainError):
-            t.value(2, 0, 1)
+            log_value(rows, 2.0, 2, 0, 1)
 
     def test_log_domain_matches_plain(self):
         for n in (5, 17, 30):
@@ -103,18 +116,29 @@ class TestPartitionTable:
         with pytest.raises(ResourceLimitError):
             build_partition_table(100_001, 1.0, 1.0, log_c_only=True)
         with pytest.raises(ResourceLimitError):
-            build_partition_table(50_000, 1.0, 1.0)  # full table would be ~30 GB
+            build_partition_table(50_000, 1.0, 1.0)  # full table would be ~20 GB
 
     @pytest.mark.parametrize("a,b", [(0.5, 2.0), (0.3, 0.45)])
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_packed_rows(self, n, a, b):
-        # row r of the packed table is the recursion's row r cut to its
-        # n-r+2 valid columns; the three arrays hold 12 (n+1)(n+4) bytes
+        # row r of the packed probabilities is the step conditionals of the
+        # recursion's rows r-1 and r, cut to the n-r+2 valid columns; log_l[r]
+        # is log L_r(0), the log c of an r-site system times 4^r; the arrays
+        # hold 8 (n+1)(n+4) + 8 (n+1) bytes
         t = build_partition_table(n, a, b)
         for r, row in enumerate(_log_l_rows(n, a, b, math.log(b))):
-            assert np.array_equal(t.log_l[t.row(r)], row[: n - r + 2])
+            cur = row[: n - r + 2]
+            if r:
+                assert np.array_equal(t.prob_up[t.row(r)], np.exp(prev[1:] - cur))
+                assert np.array_equal(t.prob_flat[t.row(r)],
+                                      np.exp(math.log(2.0) + prev[:-1] - cur))
+                assert t.log_l[r] - r * math.log(4.0) == build_partition_table(
+                    r, a, b, log_c_only=True)
+            prev = cur
+        assert t.log_l[0] == 0.0
         assert t.log_c == build_partition_table(n, a, b, log_c_only=True)
-        assert t.log_l.nbytes + t.prob_up.nbytes + t.prob_flat.nbytes == 12 * (n + 1) * (n + 4)
+        nbytes = t.log_l.nbytes + t.prob_up.nbytes + t.prob_flat.nbytes
+        assert nbytes == 8 * (n + 1) * (n + 4) + 8 * (n + 1)
 
     def test_build_memory(self):
         # the build holds the packed table plus O(n) rows, no dense temporary
@@ -124,7 +148,7 @@ class TestPartitionTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 12 * 513 * 516
+        assert peak <= 1.1 * (8 * 513 * 516 + 8 * 513)
 
 
 class TestSampler:
