@@ -254,12 +254,13 @@ def compare_distributions(sample_a, sample_b, weights_b=None) -> DistanceReport:
         wb = np.full(xb.size, 1.0 / xb.size)
     else:
         wb = np.asarray(weights_b, dtype=float).ravel()
-        if wb.size != xb.size or not (
-            np.isfinite(wb).all() and (wb >= 0).all() and wb.sum() > 0
-        ):
-            raise DomainError("weights_b must be finite, nonnegative, not all zero "
-                              "and match sample_b")
-        wb = wb / wb.sum()
+        with np.errstate(over="ignore"):
+            total = wb.sum()
+        # NaN fails wb >= 0; an infinite weight or an overflowed sum fails total < inf
+        if wb.size != xb.size or not ((wb >= 0).all() and 0.0 < total < math.inf):
+            raise DomainError("weights_b must be finite, nonnegative, not all zero, "
+                              "with a finite sum, and match sample_b")
+        wb = wb / total
     order = np.argsort(xb, kind="stable")
     xb = xb[order]
     wb = wb[order]

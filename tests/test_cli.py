@@ -374,6 +374,14 @@ class TestLdp:
         assert math.isfinite(payload["rate"])
         assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-3
 
+    @pytest.mark.parametrize("r,a,b", [("0.9", "0.5", "1e20"), ("1", "1e150", "1e150")])
+    def test_extreme_density_branches(self, capsys, r, a, b):
+        # outer branches where b/(1+b) or 1/(1+a) rounds to 1
+        code, out, _ = run(capsys, "ldp", "density", "--r", r, "--a", a, "--b", b)
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-9
+
     def test_check(self, capsys):
         code, out, _ = run(capsys, "ldp", "check", "--n", "50", "--r", "0.5",
                            "--a", "1", "--b", "1")

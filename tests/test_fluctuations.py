@@ -271,8 +271,9 @@ class TestDistances:
         ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
         ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, -1.0, 1.0]),
+        ([1.0, 2.0], [1.0, 2.0], [1e308, 1e308]),
     ], ids=["nan-a", "inf-b", "nan-weight", "inf-weight", "zero-weights",
-            "negative-weight"])
+            "negative-weight", "overflowing-sum"])
     def test_non_finite_rejected(self, sample_a, sample_b, weights_b):
         with pytest.raises(DomainError):
             compare_distributions(sample_a, sample_b, weights_b)

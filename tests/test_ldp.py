@@ -340,6 +340,13 @@ class TestRateDensity:
                 if abs(r - rho) > 5e-2:
                     assert val > 0.0
 
+    def test_extreme_ab_branches(self):
+        # b/(1+b) rounds to 1; the CLI cases of this kind are in test_cli, which
+        # cannot take a = 1e-200 (its alpha = 1/(1+a) rounds to 1)
+        rate = rate_density(0.7, 1e-200, 1e100)
+        assert math.isfinite(rate)
+        assert abs(rate - rate_density_variational(0.7, 1e-200, 1e100)) <= 1e-9
+
     def test_continuity_at_branch_boundaries(self):
         for a, b in [(0.5, 0.8), (2.0, 1.5)]:
             edges = sorted([a / (1 + a), 1 / (1 + b)])
@@ -360,11 +367,35 @@ class TestVariationalReductions:
         assert rate_density_variational(1 / 3, 2.0, 1.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_density_variational_matches_closed_grid(self):
-        for a, b in [(0.5, 0.5), (0.3, 0.9), (2.0, 1.0), (2.0, 2.0), (1.5, 3.0)]:
-            for r in (0.05, 0.3, 0.5, 0.7, 0.95):
+        # (3, 3) is on the coexistence line, where the shock middle branch is 0
+        for a, b in [(0.5, 0.5), (0.3, 0.9), (2.0, 1.0), (2.0, 2.0), (1.5, 3.0),
+                     (3.0, 3.0)]:
+            for r in (0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0, a / (1 + a), 1 / (1 + b)):
                 assert rate_density_variational(r, a, b) == pytest.approx(
                     rate_density(r, a, b), abs=1e-8
                 )
+
+    def test_independent_of_closed_form(self, monkeypatch):
+        import opentasep.core as core
+        import opentasep.ldp as ldp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the variational solve used a closed-form helper")
+
+        rs = (0.0, 0.3, 0.8, 1.0)
+        cases = [(0.5, 0.8), (0.2, 3.0), (2.0, 1.5), (3.0, 3.0)]
+        expected = {ab: ([rate_density(r, *ab) for r in rs], normalization_K(*ab))
+                    for ab in cases}
+        for name in ("rate_density", "normalization_K", "fan_region_K", "shock_region_K",
+                     "phase_info", "relative_entropy", "_log_k"):
+            for module in (core, ldp):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for (a, b), (rates, k) in expected.items():
+            for r, closed in zip(rs, rates):
+                assert abs(rate_density_variational(r, a, b) - closed) <= 1e-12
+            solve = fan_K_variational if a * b <= 1.0 else shock_K_variational
+            assert abs(solve(a, b) - k) <= 1e-12
 
     def test_k_reductions(self):
         for a, b in [(2.0, 1.0), (3.0, 3.0), (1.2, 0.9)]:
