@@ -6,7 +6,9 @@ Conventions:
   * stderr carries human diagnostics, stdout and files carry machine output;
   * every stochastic command is a pure function of (config, seed);
   * flags > config file > defaults; the config file is flat "key = value"
-    lines, keys matching long option names.
+    lines, keys matching long option names;
+  * each command imports only the modules it runs, so `phase` and
+    `ldp density` start without NumPy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import __version__, textio
 from .core import (
@@ -30,8 +30,9 @@ from .core import (
     params_from_rates,
     params_from_scaling,
     phase_info,
+    rate_density,
+    rate_density_variational,
 )
-from . import exact_engine, fluctuations, ldp, markov_oracle, two_line_sampler
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,11 +226,9 @@ def _check_writable(path) -> None:
 
 
 def _emit(payload: dict, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    sys.stdout.write(text + "\n")
+        textio.write_json(out_path, payload)
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_phase(args) -> int:
@@ -249,6 +248,10 @@ def _route_errors(n: int, params, rec) -> tuple[float, float | None]:
     """Largest relative error of the matrix-product weights and largest
     absolute error of the Markov generator's stationary law against the
     recursion table rec; the latter is None above the generator cap."""
+    import numpy as np
+
+    from . import exact_engine, markov_oracle
+
     mat = exact_engine.stationary_weights_matrix(n, params.a, params.b)
     mat_err = float(np.max(np.abs(mat.weights - rec.weights) / rec.weights))
     if n > markov_oracle.GENERATOR_CAP:
@@ -259,6 +262,8 @@ def _route_errors(n: int, params, rec) -> tuple[float, float | None]:
 
 
 def cmd_stationary(args) -> int:
+    from . import exact_engine
+
     _require(args, ["n"])
     params = _resolve_params(args, n=args.n)
     os.makedirs(args.out, exist_ok=True)
@@ -276,6 +281,10 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from . import exact_engine
+
     check_size(args.n_max, exact_engine.PAIR_ENUMERATION_CAP)
     _check_writable(args.out)
     checks = []
@@ -307,6 +316,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import two_line_sampler
+
     _require(args, ["n", "count", "seed"])
     params = _resolve_params(args, n=args.n)
     _check_writable(args.out)
@@ -330,13 +341,15 @@ def _mesh_major_rows(mesh, values, mids):
     one preformatted cell.  A column of W1 or W- is an integer over sqrt(N),
     so it holds at most 2N+1 distinct values: each is formatted once, found
     by its bit pattern so that -0.0 keeps its own text, and the ",i," cells
-    in `mids` are shared by every column."""
+    in `mids` are shared by every column.  Each mesh point's rows come as
+    one cell, joined by newlines, so a file takes one write per column."""
+    import numpy as np
+
     for x, column in zip(mesh, values.T):
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
         texts = [str(value) for value in bits.view(np.float64).tolist()]
         head = str(x)
-        for mid, k in zip(mids, inverse.tolist()):
-            yield (head + mid + texts[k],)
+        yield ("\n".join([head + mid + texts[k] for mid, k in zip(mids, inverse.tolist())]),)
 
 
 def _write_fluct_csvs(files: dict, mesh, scaled, ens) -> None:
@@ -355,6 +368,8 @@ def _write_fluct_csvs(files: dict, mesh, scaled, ens) -> None:
 
 
 def cmd_fluct(args) -> int:
+    from . import fluctuations
+
     _require(args, ["n", "u", "v", "count", "seed"])
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
@@ -392,7 +407,9 @@ def cmd_fluct(args) -> int:
     return EXIT_OK
 
 
-def _load_profile(path: str) -> ldp.Profile:
+def _load_profile(path: str):
+    from .ldp import Profile
+
     xs, ys = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -411,11 +428,13 @@ def _load_profile(path: str) -> ldp.Profile:
             ys.append(float(parts[1]))
         except (IndexError, ValueError):
             raise UsageError(f"bad profile line, expected x,f(x): {line!r}")
-    return ldp.Profile(tuple(xs), tuple(ys))
+    return Profile(tuple(xs), tuple(ys))
 
 
 def cmd_ldp(args) -> int:
     if args.ldp_command == "rate":
+        from . import ldp
+
         _require(args, ["profile"])
         params = _resolve_params(args, n=args.n)
         f = _load_profile(args.profile)
@@ -440,13 +459,15 @@ def cmd_ldp(args) -> int:
         params = _resolve_params(args, n=args.n)
         payload = {
             "r": args.r, "a": params.a, "b": params.b,
-            "rate": ldp.rate_density(args.r, params.a, params.b),
-            "variational_rate": ldp.rate_density_variational(args.r, params.a, params.b),
+            "rate": rate_density(args.r, params.a, params.b),
+            "variational_rate": rate_density_variational(args.r, params.a, params.b),
             "K": normalization_K(params.a, params.b),
         }
         _emit(payload, args.out)
         return EXIT_OK
     if args.ldp_command == "check":
+        from . import ldp
+
         _require(args, ["n", "r"])
         params = _resolve_params(args, n=args.n)
         chk = ldp.finite_n_ldp_check(args.n, params.a, params.b, args.r)

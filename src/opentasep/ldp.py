@@ -29,6 +29,10 @@ each t.  The fan half maximizes over probability vectors mu on X the
 concave dual -sum_i w_i softplus(z_i) - lam mu.f(X) - log(b) f(1), where
 lam = -log(ab), z_i = -lam M_i - log b and M_i is the mu-mass at points
 >= X_{i+1}; its gradient is lam (g_mu(X) - f(X)).
+
+The mean-density rates (rate_density, rate_density_variational and the
+variational K) are scalar and live in core, which loads no NumPy; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -38,16 +42,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from .core import (  # the density rates are core's, re-exported here
     DomainError,
     ResourceLimitError,
     check_ab,
     entropy_h,
+    fan_K_variational,
     fan_region_K,
     normalization_K,
+    rate_density,
+    rate_density_variational,
+    shock_K_variational,
     shock_region_K,
 )
-from .two_line_sampler import _endpoint_log_pmf
 
 SLOPE_TOL = 1e-9  # slopes within this of [0, 1] count as admissible
 MESH_CAP = 10**6  # largest mesh of rate_height_variational (~10 arrays of mesh doubles)
@@ -460,119 +467,6 @@ def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
     return val
 
 
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
-
-
-def _single_piece(r: float, a: float, b: float) -> tuple[float, float]:
-    """(phi_a(r), phi_b(r)): the density objective of one low-density piece,
-    phi_a(t) = h(t) + t log a - log(1+a), and of one high-density piece,
-    phi_b(t) = h(t) + (1-t) log b - log(1+b)."""
-    h = entropy_h(r)
-    return h + r * math.log(a) - math.log1p(a), h + (1.0 - r) * math.log(b) - math.log1p(b)
-
-
-def rate_density(r: float, a: float, b: float) -> float:
-    """Closed-form rate of the mean density; +inf outside [0, 1].
-
-    Fan half (ab <= 1): phi_a below a/(1+a), phi_b above 1/(1+b) and the
-    product-Bernoulli branch 2 h(r) between.  Shock half (ab > 1): the middle
-    branch is linear in r and vanishes identically on the coexistence line
-    a = b > 1.  No branch uses a reference probability 1/(1+a) or b/(1+b),
-    which rounds to 1 at extreme (a, b).
-    """
-    check_ab(a, b)
-    if not 0.0 <= r <= 1.0:
-        return math.inf
-    ra = a / (1.0 + a)      # fan: lower branch boundary
-    rb = 1.0 / (1.0 + b)    # fan: upper branch boundary
-    phi_a, phi_b = _single_piece(r, a, b)
-    if a * b <= 1.0:
-        k = fan_region_K(a, b)
-        if r < ra:
-            return phi_a - k
-        if r > rb:
-            return phi_b - k
-        return 2.0 * entropy_h(r) - k
-    k = shock_region_K(a, b)
-    if r <= rb:
-        return phi_a - k
-    if r >= ra:
-        return phi_b - k
-    return r * (math.log(a) - math.log(b)) + math.log(b) - math.log1p(a) - math.log1p(b) - k
-
-
-def _fan_density_objective(r: float, a: float, b: float) -> float:
-    """h(r) + min over the second-line endpoint m of the coupled term:
-    h(m) + (r - m) log a on [r, 1] or h(m) + (m - r) log b on [0, r].  Both
-    are convex in m, stationary at a/(1+a) and 1/(1+b), so each minimizer is
-    its stationary point clamped to its interval."""
-    m_up = max(a / (1.0 + a), r)
-    m_lo = min(1.0 / (1.0 + b), r)
-    return entropy_h(r) + min(entropy_h(m_up) + (r - m_up) * math.log(a),
-                              entropy_h(m_lo) + (m_lo - r) * math.log(b))
-
-
-def fan_K_variational(a: float, b: float) -> float:
-    """Normalization recovered variationally on ab <= 1: the minimum over r
-    of the density objective.  On each triangle m >= r and m <= r the joint
-    objective in (r, m) is convex, so its minimum is a stationary point of
-    some face: r = 1/(1+a) or b/(1+b) (interior, or the edge m = 1 or m = 0),
-    r = 1/2 (diagonal m = r), or r = 0 or 1 (edges and corners)."""
-    check_ab(a, b)
-    candidates = (0.0, 1.0, 0.5, 1.0 / (1.0 + a), b / (1.0 + b))
-    return min(_fan_density_objective(r, a, b) for r in candidates)
-
-
-def shock_K_variational(a: float, b: float) -> float:
-    """Normalization recovered variationally on ab >= 1: free minimization
-    over the crossover y and the two-piece endpoint values (F, G).  For fixed
-    y the objective is y (min_t[h(t) + t log a] - log(1+a)) + (1-y)
-    (min_t[h(t) - t log b] + log b - log(1+b)), affine in y, so the minimum
-    over y sits at y = 0 or y = 1; min_t h(t) + c t = -softplus(-c)."""
-    check_ab(a, b)
-    log_a, log_b = math.log(a), math.log(b)
-    return min(-math.log1p(a) - _softplus(-log_a),
-               log_b - math.log1p(b) - _softplus(log_b))
-
-
-def rate_density_variational(r: float, a: float, b: float) -> float:
-    """Mean-density rate by scalar variational reduction over linear
-    profiles, solved from its optimality conditions without the closed-form
-    branches.
-
-    Fan half: the density objective minus fan_K_variational.  Shock half: the
-    minimum over the crossover y and the slope r_a on [0, y] of
-    y phi_a(r_a) + (1-y) phi_b(r_b), with y r_a + (1-y) r_b = r, is the
-    convex envelope of min(phi_a, phi_b) at r (phi_a, phi_b as in
-    _single_piece).  By conjugate duality (Rockafellar, Convex Analysis,
-    1970, sec. 16) that is the concave maximum over lam of
-    lam r - max(phi_a*(lam), phi_b*(lam)), where
-    phi_a*(lam) = softplus(lam - log a) + log(1+a) and
-    phi_b*(lam) = softplus(lam + log b) - log b + log(1+b).  The maximum sits
-    where one conjugate alone is stationary, lam = logit r + log a or
-    logit r - log b, or where the two cross, which is only at log(a/b); every
-    dual value is a lower bound, so the largest of the three is exact.  At
-    r = 0 or 1 the envelope is min(phi_a(r), phi_b(r)).
-    """
-    check_ab(a, b)
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0, 1], got {r!r}")
-    if a * b <= 1.0:
-        return _fan_density_objective(r, a, b) - fan_K_variational(a, b)
-    if r in (0.0, 1.0):
-        envelope = min(_single_piece(r, a, b))
-    else:
-        log_a, log_b = math.log(a), math.log(b)
-        logit = math.log(r) - math.log1p(-r)
-        envelope = max(
-            lam * r - max(_softplus(lam - log_a) + math.log1p(a),
-                          _softplus(lam + log_b) - log_b + math.log1p(b))
-            for lam in (logit + log_a, logit - log_b, log_a - log_b)
-        )
-    return envelope - shock_K_variational(a, b)
-
-
 @dataclass(frozen=True)
 class FiniteNCheck:
     """Finite-size sanity of the density rate: empirical_rate is
@@ -587,6 +481,8 @@ class FiniteNCheck:
 
 
 def finite_n_ldp_check(n: int, a: float, b: float, r: float) -> FiniteNCheck:
+    from .two_line_sampler import _endpoint_log_pmf  # only this check needs the sampler
+
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"r must lie in [0, 1], got {r!r}")
     log_pmf = _endpoint_log_pmf(n, a, b)

@@ -19,13 +19,23 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_import_does_not_load_scipy():
-    # only the Markov oracle needs SciPy; other commands must not pay its import
-    code = "import opentasep.cli, sys; print('scipy' in sys.modules)"
+def _last_line_in_fresh_process(code):
     src = os.path.dirname(os.path.dirname(opentasep.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_scipy():
+    # only the Markov oracle needs SciPy, and the closed-form commands need no
+    # NumPy either; neither is paid for by the commands that do not use it
+    code = "import opentasep.cli, sys; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    assert _last_line_in_fresh_process(code) == "[]"
+    for argv in (["phase", "--a", "2", "--b", "1"],
+                 ["ldp", "density", "--r", "0.3", "--a", "2", "--b", "1.5"]):
+        code = (f"import sys; from opentasep.cli import main; code = main({argv!r}); "
+                "print(code, 'numpy' in sys.modules)")
+        assert _last_line_in_fresh_process(code) == "0 False", argv
 
 
 class TestPhase:

@@ -1,8 +1,13 @@
+import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opentasep
 from opentasep import (
     DomainError,
     LatticePath,
@@ -192,3 +197,62 @@ class TestEntropy:
                     assert val > 0.0
                 else:
                     assert val == pytest.approx(0.0, abs=1e-15)
+
+
+# every name the package namespace exports, by the submodule that defines or
+# re-exports it
+PUBLIC_NAMES = {
+    "core": ("BoundaryParams", "DomainError", "LatticePath", "NumericConsistencyError",
+             "Occupation", "PhaseInfo", "ResourceLimitError", "VerificationError",
+             "entropy_h", "fan_region_K", "height_from_occupation", "log_c_growth_rate",
+             "normalization_K", "occupation_from_height", "params_from_ab",
+             "params_from_rates", "params_from_scaling", "phase_info", "relative_entropy",
+             "shock_region_K"),
+    "exact_engine": ("TwoLineTable", "WeightTable", "f_n_enumerate",
+                     "stationary_weights_matrix", "stationary_weights_recursive",
+                     "tle_enumerate", "two_line_weight", "verify_marginal_identity"),
+    "fluctuations": ("LimitEnsemble", "ScalingConfig", "compare_distributions",
+                     "sample_scaled_height", "sample_scaled_processes",
+                     "simulate_limit_exact", "simulate_limit_process"),
+    "ldp": ("Profile", "MonotoneStep", "J_star", "J_upper", "convex_envelope",
+            "fan_K_variational", "finite_n_ldp_check", "optimal_G", "rate_density",
+            "rate_density_variational", "rate_height_closed", "rate_height_report",
+            "rate_height_variational", "rate_two_line", "shock_K_variational",
+            "sup_over_G"),
+    "markov_oracle": ("build_generator", "kmc_sample", "solve_stationary"),
+    "two_line_sampler": ("PartitionTable", "SamplePaths", "build_partition_table",
+                         "height_endpoint_distribution", "sample_functionals",
+                         "sample_two_line"),
+}
+
+
+class TestNamespace:
+    @pytest.mark.parametrize("module", list(PUBLIC_NAMES))
+    def test_names_resolve_to_submodule_objects(self, module):
+        sub = importlib.import_module(f"opentasep.{module}")
+        listed = dir(opentasep)
+        for name in PUBLIC_NAMES[module]:
+            assert getattr(opentasep, name) is getattr(sub, name), name
+            assert name in listed, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            opentasep.no_such_name
+        assert not hasattr(opentasep, "no_such_name")
+
+    def test_submodules_import_from_package(self):
+        from opentasep import ldp
+
+        assert ldp is importlib.import_module("opentasep.ldp")
+
+    def test_submodules_resolve_as_attributes(self):
+        # in a fresh process no submodule is loaded yet, so `opentasep.ldp`
+        # goes through the package's __getattr__
+        src = os.path.dirname(os.path.dirname(opentasep.__file__))
+        code = ("import opentasep; "
+                "print(opentasep.ldp.Profile is opentasep.Profile, "
+                "opentasep.fluctuations.DEFAULT_MESH[-1], "
+                "{'rng', 'textio', 'ldp'} <= set(dir(opentasep)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["True", "1.0", "True"]
