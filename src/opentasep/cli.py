@@ -484,6 +484,9 @@ def cmd_ldp(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # set before any command loads NumPy: no command makes a BLAS call large
+    # enough to gain from OpenBLAS's thread pool, whose start-up costs CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         argv = _apply_config(argv)

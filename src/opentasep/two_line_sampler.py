@@ -21,9 +21,10 @@ Forward sampling draws each step from one uniform u, cut by the exact
 conditionals the L-ratios give: with h = P(0)/2, the joint increments (0,0),
 (1,0), (1,1), (0,1) take u in [0, h), [h, h + P(+1)), [h + P(+1), P(+1) + P(0))
 and the rest, so the two flat increments split P(0) evenly.  One sample costs
-O(N) after the O(N^2) table.  The same walk serves both entry points: it
-records (s1, s2) at a list of path positions, every position 0..N for
-`sample_two_line` and only the requested ones for `sample_functionals`.
+O(N) after the O(N^2) table.  The same walk serves both entry points:
+`sample_two_line` stores every step's 0/1 increments (one byte each), and
+`sample_functionals` keeps running heights and records (s1, s2) only at the
+requested path positions.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ BUILD_CAP = 100_000
 ENDPOINT_CAP = 120
 TABLE_BYTES_CAP = 6 * 10 ** 9   # bytes of the full table (~8 N^2) and of stored paths
 CHUNK = 1 << 15
+CSV_BLOCK_BYTES = 1 << 20   # bytes of preformatted rows SamplePaths.write_csv holds at once
 
 LOG2 = math.log(2.0)
 
@@ -131,56 +133,75 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
 
 @dataclass(frozen=True)
 class SamplePaths:
-    """Sampled pairs of lattice paths, one row per sample (positions 0..N)."""
+    """Sampled pairs of lattice paths, one row per sample: the 0/1 steps of
+    each line as uint8 (count, N) matrices.  The int32 heights s1, s2
+    (positions 0..N) are built on access."""
 
-    s1: np.ndarray
-    s2: np.ndarray
+    inc1: np.ndarray
+    inc2: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.s1.shape[0]
+        return self.inc1.shape[0]
 
     @property
     def n_sites(self) -> int:
-        return self.s1.shape[1] - 1
+        return self.inc1.shape[1]
+
+    @property
+    def s1(self) -> np.ndarray:
+        return _heights(self.inc1)
+
+    @property
+    def s2(self) -> np.ndarray:
+        return _heights(self.inc2)
 
     def increments(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.diff(self.s1, axis=1), np.diff(self.s2, axis=1)
+        return self.inc1, self.inc2
 
     def write_csv(self, path) -> None:
         """Increments are 0/1, so each row is 4N-1 ASCII bytes (a digit at
-        every even offset, commas between); the rows are built as one uint8
-        matrix and handed to textio.write_csv as one preformatted cell each."""
-        n = self.n_sites
+        every even offset, commas between); rows are built CSV_BLOCK_BYTES at
+        a time in one reused uint8 matrix and handed to textio.write_csv as
+        one preformatted cell each."""
+        n, width = self.n_sites, 4 * self.n_sites - 1
         header = [f"s1_{j}" for j in range(1, n + 1)] + [f"s2_{j}" for j in range(1, n + 1)]
-        cells = np.full((self.count, 4 * n - 1), ord(","), dtype=np.uint8)
-        digits = cells[:, ::2]
-        for s, out in ((self.s1, digits[:, :n]), (self.s2, digits[:, n:])):
-            np.subtract(s[:, 1:], s[:, :-1], out=out, casting="unsafe")
-        digits += ord("0")
-        lines = cells.view(f"S{4 * n - 1}").ravel()
-        textio.write_csv(path, header, ([line.decode()] for line in lines))
+        block = max(1, CSV_BLOCK_BYTES // width)
+        cells = np.full((min(block, self.count), width), ord(","), dtype=np.uint8)
+
+        def rows():
+            for start in range(0, self.count, block):
+                part = cells[: min(block, self.count - start)]
+                digits = part[:, ::2]
+                np.add(self.inc1[start : start + block], ord("0"), out=digits[:, :n])
+                np.add(self.inc2[start : start + block], ord("0"), out=digits[:, n:])
+                for line in part.view(f"S{width}").ravel():
+                    yield [line.decode()]
+
+        textio.write_csv(path, header, rows())
 
     def write_binary(self, path) -> None:
         """n as little-endian int32, then per sample two ceil(n/8)-byte
         bitmaps (s1 increments then s2), bits LSB-first within each byte."""
-        d1, d2 = self.increments()
         with open(path, "wb") as fh:
             fh.write(np.int32(self.n_sites).tobytes())
-            packed1 = np.packbits(d1.astype(np.uint8), axis=1, bitorder="little")
-            packed2 = np.packbits(d2.astype(np.uint8), axis=1, bitorder="little")
-            interleaved = np.concatenate([packed1, packed2], axis=1)
-            fh.write(interleaved.tobytes())
+            packed = [np.packbits(inc, axis=1, bitorder="little")
+                      for inc in (self.inc1, self.inc2)]
+            fh.write(np.concatenate(packed, axis=1).tobytes())
 
 
-def _sample_chunk(table: PartitionTable, count: int, rng, positions):
-    """Sample `count` pairs and record (s1, s2) at the given distinct path
-    positions (0..N); returns two (count, len(positions)) int32 arrays."""
+def _heights(inc: np.ndarray) -> np.ndarray:
+    """int32 heights at positions 0..N of (count, N) 0/1 increments."""
+    out = np.zeros((inc.shape[0], inc.shape[1] + 1), dtype=np.int32)
+    np.cumsum(inc, axis=1, dtype=np.int32, out=out[:, 1:])
+    return out
+
+
+def _walk(table: PartitionTable, count: int, rng):
+    """Walk `count` pairs forward from gap 0, one uniform per step; yields
+    each step's (inc1, inc2) bool arrays, the two lines' 0/1 increments."""
     n = table.n_sites
-    cols = {k: i for i, k in enumerate(positions)}
-    out1, out2 = np.zeros((2, count, len(cols)), dtype=np.int32)
     q = np.zeros(count, dtype=np.intp)
-    s1, s2 = np.zeros((2, count), dtype=np.int32)
     for j in range(n):
         cells = table.row(n - j)
         u = rng.random(count)
@@ -189,47 +210,49 @@ def _sample_chunk(table: PartitionTable, count: int, rng, positions):
         h = 0.5 * p_flat
         inc1 = (u >= h) & (u < p_up + p_flat)  # (1,0) or (1,1)
         inc2 = u >= h + p_up                   # (1,1) or (0,1)
-        s1 += inc1
-        s2 += inc2
         q += inc1
         q -= inc2
         np.maximum(q, 0, out=q)
-        col = cols.get(j + 1)
-        if col is not None:
-            out1[:, col] = s1
-            out2[:, col] = s2
-    return out1, out2
+        yield inc1, inc2
 
 
-def _run_chunks(table, count, seed, positions, threads):
-    """(s1, s2) at `positions` for `count` samples; chunk i uses stream
-    (seed, i), so the output is thread-count independent."""
+def _run_chunks(count, seed, threads, width, dtype, record):
+    """Two (count, width) arrays, filled chunk by chunk: record(rng, rows1,
+    rows2) fills one chunk's row slices, and chunk i uses stream (seed, i),
+    so the output is thread-count independent."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    jobs = list(enumerate(range(0, count, CHUNK)))
+    out1, out2 = np.zeros((2, count, width), dtype=dtype)
 
     def run(job):
         i, start = job
-        size = min(CHUNK, count - start)
-        return _sample_chunk(table, size, stream(seed, i), positions)
+        rows = slice(start, min(start + CHUNK, count))
+        record(stream(seed, i), out1[rows], out2[rows])
 
+    jobs = list(enumerate(range(0, count, CHUNK)))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            list(pool.map(run, jobs))
     else:
-        results = [run(job) for job in jobs]
-    return (np.concatenate([r[0] for r in results]),
-            np.concatenate([r[1] for r in results]))
+        for job in jobs:
+            run(job)
+    return out1, out2
 
 
 def sample_two_line(table: PartitionTable, count: int, seed: int,
                     threads: int = 1) -> SamplePaths:
     """Exact i.i.d. samples from the pair ensemble; deterministic in seed
     and independent of the thread count."""
-    check_bytes(8 * count * (table.n_sites + 1), TABLE_BYTES_CAP,  # int32 s1 and s2
+    check_bytes(2 * count * table.n_sites, TABLE_BYTES_CAP,  # uint8 inc1 and inc2
                 f"storing {count} paths of n={table.n_sites}")
-    s1, s2 = _run_chunks(table, count, seed, range(table.n_sites + 1), threads)
-    return SamplePaths(s1=s1, s2=s2)
+
+    def record(rng, rows1, rows2):
+        for j, (inc1, inc2) in enumerate(_walk(table, len(rows1), rng)):
+            rows1[:, j] = inc1
+            rows2[:, j] = inc2
+
+    inc1, inc2 = _run_chunks(count, seed, threads, table.n_sites, np.uint8, record)
+    return SamplePaths(inc1=inc1, inc2=inc2)
 
 
 def check_functionals_bytes(count: int, n_positions: int) -> None:
@@ -253,8 +276,20 @@ def sample_functionals(table: PartitionTable, count: int, seed: int,
         raise DomainError("record positions must lie in 0..n")
     check_functionals_bytes(count, len(wanted))
     unique = sorted(set(wanted))
-    s1, s2 = _run_chunks(table, count, seed, unique, threads)
-    cols = [unique.index(k) for k in wanted]
+    col_of = {k: i for i, k in enumerate(unique)}
+
+    def record(rng, rows1, rows2):
+        s1, s2 = np.zeros((2, len(rows1)), dtype=np.int32)
+        for j, (inc1, inc2) in enumerate(_walk(table, len(rows1), rng), 1):
+            s1 += inc1
+            s2 += inc2
+            col = col_of.get(j)
+            if col is not None:
+                rows1[:, col] = s1
+                rows2[:, col] = s2
+
+    s1, s2 = _run_chunks(count, seed, threads, len(unique), np.int32, record)
+    cols = [col_of[k] for k in wanted]
     s1 = s1[:, cols]
     return s1, s1 - s2[:, cols]
 

@@ -19,10 +19,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _last_line_in_fresh_process(code):
+def _last_line_in_fresh_process(code, env=None):
     src = os.path.dirname(os.path.dirname(opentasep.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+                         check=True, env={**(env or os.environ), "PYTHONPATH": src})
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -36,6 +36,17 @@ def test_import_does_not_load_scipy():
         code = (f"import sys; from opentasep.cli import main; code = main({argv!r}); "
                 "print(code, 'numpy' in sys.modules)")
         assert _last_line_in_fresh_process(code) == "0 False", argv
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+def test_openblas_threads_default(preset, want):
+    # main pins OpenBLAS to one thread unless the user already chose
+    code = ("import os; from opentasep.cli import main; main(['phase', '--a', '2', '--b', '1']); "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    assert _last_line_in_fresh_process(code, env) == want
 
 
 class TestPhase:
@@ -143,7 +154,7 @@ class TestExitCodes:
             raise AssertionError("worked past a size cap")
 
         monkeypatch.setattr(fluctuations, "build_partition_table", forbidden)
-        monkeypatch.setattr(two_line_sampler, "_sample_chunk", forbidden)
+        monkeypatch.setattr(two_line_sampler, "_walk", forbidden)
         if not limit_runs:
             monkeypatch.setattr(fluctuations, "stream", forbidden)
         code, out, err = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0",

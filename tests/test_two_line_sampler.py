@@ -176,16 +176,16 @@ class TestSampler:
         assert np.array_equal(p1.s1, p4.s1) and np.array_equal(p1.s2, p4.s2)
 
     def test_paths_cap(self, monkeypatch):
-        # 8 * count * (n + 1) bytes of int32 paths over TABLE_BYTES_CAP is
+        # 2 * count * n bytes of uint8 increments over TABLE_BYTES_CAP is
         # refused before any chunk is sampled
         def no_sampling(*args):
             raise AssertionError("sampled past the paths cap")
 
-        monkeypatch.setattr(two_line_sampler, "_sample_chunk", no_sampling)
+        monkeypatch.setattr(two_line_sampler, "_walk", no_sampling)
         t = build_partition_table(1000, 0.5, 0.8)
+        count = two_line_sampler.TABLE_BYTES_CAP // (2 * 1000)
         with pytest.raises(ResourceLimitError):
-            sample_two_line(t, 1_000_000, seed=1)
-        count = two_line_sampler.TABLE_BYTES_CAP // (8 * 1001)
+            sample_two_line(t, count + 1, seed=1)
         with pytest.raises(AssertionError):  # the largest count within the cap passes
             sample_two_line(t, count, seed=1)
 
@@ -195,7 +195,7 @@ class TestSampler:
         def no_sampling(*args):
             raise AssertionError("sampled past the functionals cap")
 
-        monkeypatch.setattr(two_line_sampler, "_sample_chunk", no_sampling)
+        monkeypatch.setattr(two_line_sampler, "_walk", no_sampling)
         t = build_partition_table(10, 0.5, 0.8)
         count = two_line_sampler.TABLE_BYTES_CAP // (8 * 3)
         with pytest.raises(ResourceLimitError):
@@ -247,6 +247,25 @@ class TestSampler:
         c = np.corrcoef(d1[:, 0], d1[:, 1])[0, 1]
         assert abs(c) <= 4.0 / math.sqrt(d1.shape[0])
 
+    def test_paths_and_csv_memory(self, tmp_path):
+        # paths are stored as uint8 increments and the CSV writer formats one
+        # block of rows at a time, so sampling plus writing peaks near the
+        # stored bytes; heights are their cumulative sums, built on access
+        n, count = 1000, 4000
+        t = build_partition_table(n, 0.5, 0.8)
+        tracemalloc.start()
+        try:
+            paths = sample_two_line(t, count, seed=1)
+            paths.write_csv(tmp_path / "samples.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * count * n + two_line_sampler.CSV_BLOCK_BYTES + (1 << 20)
+        for inc, s in ((paths.inc1, paths.s1), (paths.inc2, paths.s2)):
+            assert inc.dtype == np.uint8 and inc.nbytes == count * n
+            assert s.dtype == np.int32 and (s[:, 0] == 0).all()
+            assert np.array_equal(s[:, 1:], np.cumsum(inc, axis=1))
+
     def test_functionals_match_paths(self):
         t = build_partition_table(9, 0.7, 1.4)
         paths = sample_two_line(t, 5000, seed=21)
@@ -288,8 +307,8 @@ class TestStepRule:
     def test_cuts_at_gap_zero(self):
         t = build_partition_table(2, 0.5, 2.0)
         u = self.around_cuts(t, 2, 0)
-        s1, s2 = two_line_sampler._sample_chunk(t, u.size, _Uniforms(u, np.zeros(u.size)), [1])
-        assert list(zip(s1[:, 0].tolist(), s2[:, 0].tolist())) == self.WANT
+        inc1, inc2 = next(two_line_sampler._walk(t, u.size, _Uniforms(u)))
+        assert list(zip(inc1.astype(int).tolist(), inc2.astype(int).tolist())) == self.WANT
 
     def test_cuts_at_positive_gap(self):
         # u = h exactly forces (1, 0) on the first step, so the second step
@@ -297,9 +316,9 @@ class TestStepRule:
         t = build_partition_table(2, 0.5, 2.0)
         u = self.around_cuts(t, 1, 1)
         first = np.full(u.size, 0.5 * t.prob_flat[t.row(2)][0])
-        s1, s2 = two_line_sampler._sample_chunk(t, u.size, _Uniforms(first, u), [1, 2])
-        assert (s1[:, 0] == 1).all() and (s2[:, 0] == 0).all()
-        steps = list(zip((s1[:, 1] - s1[:, 0]).tolist(), (s2[:, 1] - s2[:, 0]).tolist()))
+        (a1, a2), (b1, b2) = two_line_sampler._walk(t, u.size, _Uniforms(first, u))
+        assert a1.all() and not a2.any()
+        steps = list(zip(b1.astype(int).tolist(), b2.astype(int).tolist()))
         assert steps == self.WANT
 
 
@@ -377,9 +396,11 @@ class TestSerialization:
         assert first == list(d1[0]) + list(d2[0])
 
     @pytest.mark.parametrize("n,count,threads", [(1, 5, 1), (2, 9, 1), (7, 40, 1),
-                                                 (40, 25, 1), (2, CHUNK + 3, 2)])
+                                                 (40, 25, 1), (2, CHUNK + 3, 2),
+                                                 (1000, 600, 1)])
     def test_csv_matches_reference(self, tmp_path, n, count, threads):
-        # the whole file against rows joined cell by cell from the increments
+        # the whole file against rows joined cell by cell from the increments;
+        # n = 1000 spans several CSV blocks, the last one partial
         paths = sample_two_line(build_partition_table(n, 0.5, 2.0), count, seed=4,
                                 threads=threads)
         path = tmp_path / "samples.csv"
