@@ -266,11 +266,12 @@ def cmd_stationary(args) -> int:
 
     _require(args, ["n"])
     params = _resolve_params(args, n=args.n)
-    os.makedirs(args.out, exist_ok=True)
     table = exact_engine.stationary_weights_recursive(args.n, params.a, params.b)
+    mat_err, gen_err = _route_errors(args.n, params, table)
+    # written only once every route has run, so a refused rate leaves no file
+    os.makedirs(args.out, exist_ok=True)
     weights_path = os.path.join(args.out, "weights.csv")
     table.write_csv(weights_path)
-    mat_err, gen_err = _route_errors(args.n, params, table)
     summary = table.summary()
     summary["matrix_route_max_rel_error"] = mat_err
     if gen_err is not None:

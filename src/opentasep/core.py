@@ -2,11 +2,12 @@
 entropy primitives, and the mean-density rate function of the open-boundary
 TASEP.
 
-Injection/extraction rates (alpha, beta) in (0,1) are equivalently encoded as
+The boundary is parameterized by a, b > 0, the only pair BoundaryParams
+stores and the one every module works in.  The injection/extraction rates
 
-    a = (1 - alpha)/alpha,    b = (1 - beta)/beta,
+    alpha = 1/(1 + a),    beta = 1/(1 + b)
 
-and every other module works in the (a, b) parameterization.  The height
+are derived from it; only the Markov oracle uses them.  The height
 function H(k) = tau_1 + ... + tau_k identifies occupation configurations with
 lattice paths started at 0 with increments in {0, 1}.
 """
@@ -89,48 +90,42 @@ def check_mesh(mesh: Iterable[float]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class BoundaryParams:
-    """Boundary rates and their (a, b) reparameterization.
+    """The boundary parameters (a, b), both positive and finite.
 
-    Invariants: alpha, beta in (0,1); a, b > 0; a = (1-alpha)/alpha and
-    b = (1-beta)/beta to 1e-14 relative accuracy.
+    The rates alpha = 1/(1+a) and beta = 1/(1+b) are derived; at extreme
+    (a, b) they round to 1, which only the Markov oracle refuses.
     """
 
-    alpha: float
-    beta: float
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        check_rates(self.alpha, self.beta)
         check_ab(self.a, self.b)
-        if not _close_rel(self.a, (1.0 - self.alpha) / self.alpha, 1e-14):
-            raise DomainError("a inconsistent with alpha")
-        if not _close_rel(self.b, (1.0 - self.beta) / self.beta, 1e-14):
-            raise DomainError("b inconsistent with beta")
 
+    @property
+    def alpha(self) -> float:
+        return 1.0 / (1.0 + self.a)
 
-def _close_rel(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(abs(x), abs(y), 1.0)
+    @property
+    def beta(self) -> float:
+        return 1.0 / (1.0 + self.b)
 
 
 def params_from_rates(alpha: float, beta: float) -> BoundaryParams:
-    """Build parameters from the boundary rates themselves."""
+    """Build parameters from the boundary rates: a = (1-alpha)/alpha,
+    b = (1-beta)/beta."""
     check_rates(alpha, beta)
-    return BoundaryParams(alpha, beta, (1.0 - alpha) / alpha, (1.0 - beta) / beta)
+    return BoundaryParams((1.0 - alpha) / alpha, (1.0 - beta) / beta)
 
 
 def params_from_ab(a: float, b: float) -> BoundaryParams:
-    """Build parameters from (a, b) directly; alpha = 1/(1+a), beta = 1/(1+b)."""
-    check_ab(a, b)
-    return BoundaryParams(1.0 / (1.0 + a), 1.0 / (1.0 + b), a, b)
+    """Build parameters from (a, b) directly."""
+    return BoundaryParams(a, b)
 
 
 def params_from_scaling(u: float, v: float, n: int) -> BoundaryParams:
-    """Parameters of the size-n system in the triple-point scaling window.
-
-    a = exp(-u/sqrt(n)), b = exp(-v/sqrt(n)); the rates follow by inverting
-    the (a, b) map.
-    """
+    """Parameters of the size-n system in the triple-point scaling window,
+    a = exp(-u/sqrt(n)) and b = exp(-v/sqrt(n))."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     check_uv(u, v)
@@ -138,9 +133,7 @@ def params_from_scaling(u: float, v: float, n: int) -> BoundaryParams:
     for name, val in (("u", u), ("v", v)):
         if abs(val / root) > _MAX_LOG_PARAM:
             raise DomainError(f"|{name}|/sqrt(n) too large: {abs(val) / root:g}")
-    a = math.exp(-u / root)
-    b = math.exp(-v / root)
-    return BoundaryParams(1.0 / (1.0 + a), 1.0 / (1.0 + b), a, b)
+    return BoundaryParams(math.exp(-u / root), math.exp(-v / root))
 
 
 @dataclass(frozen=True)

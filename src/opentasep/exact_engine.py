@@ -27,9 +27,7 @@ import numpy as np
 
 from .core import (
     DomainError,
-    LatticePath,
     NumericConsistencyError,
-    Occupation,
     _bits_of,
     _values_of,
     check_ab,
@@ -127,30 +125,6 @@ class TwoLineTable:
     def s1_marginal_probabilities(self) -> np.ndarray:
         marg = self.s1_marginal()
         return marg / marg.sum()
-
-    def summary(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "a": float(self.a),
-            "b": float(self.b),
-            "c": float(self.c),
-        }
-
-    def write_csv(self, path) -> None:
-        n = self.n_sites
-        header = (
-            [f"s1_{j}" for j in range(1, n + 1)]
-            + [f"s2_{j}" for j in range(1, n + 1)]
-            + ["weight", "probability"]
-        )
-        bits = np.diff(all_height_paths(n), axis=1).tolist()
-        total = self.joint.sum()
-        rows = (
-            bits[i] + bits[j] + [w, p]
-            for i, row in enumerate(self.joint)
-            for j, (w, p) in enumerate(zip(row.tolist(), (row / total).tolist()))
-        )
-        textio.write_csv(path, header, rows)
 
 
 def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTable:
@@ -265,32 +239,38 @@ def two_line_weight(s1, s2, a, b):
 
 
 def f_n_enumerate(tau, a, b, exact: bool = False):
-    """Sum of pair weights over every second walk; equals p_N(tau)."""
+    """Sum of pair weights over every second walk; equals p_N(tau).
+
+    `exact=True` sums in Fraction arithmetic: the walks are grouped by their
+    (d_N, min_j d_j), on which alone the pair weight depends, and each group
+    adds count * b^(d_N) (ab)^(-min d).
+    """
     bits = _bits_of(tau)
     n = len(bits)
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
-    if exact:
-        a, b = Fraction(a), Fraction(b)
-        s1 = LatticePath((0,) + tuple(np.cumsum(bits).tolist()))
-        total = Fraction(0)
-        for j in range(1 << n):
-            s2 = LatticePath((0,) + tuple(np.cumsum(config_bits(j, n)).tolist()))
-            total += two_line_weight(s1, s2, a, b)
-        return total
     s1 = np.concatenate([[0], np.cumsum(bits)])
     heights = np.ascontiguousarray(all_height_paths(n).T)
-    return float(np.sum(_pair_weight_row(s1, heights, float(a), float(b))))
+    if not exact:
+        return float(np.sum(_pair_weight_row(s1, heights, float(a), float(b))))
+    a, b = Fraction(a), Fraction(b)
+    keys, counts = np.unique(np.stack(_end_and_min(s1, heights)), axis=1, return_counts=True)
+    return sum((count * b ** d * (a * b) ** (-m)
+                for (d, m), count in zip(keys.T.tolist(), counts.tolist())), Fraction(0))
+
+
+def _end_and_min(s1: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End value and minimum of the difference walk s1 - s2 for every column
+    s2 of `heights`, all_height_paths transposed to C order: each path's
+    minimum then runs across n+1 rows, much faster than along 2^n short rows."""
+    diff = s1[:, None] - heights
+    return diff[-1], diff.min(axis=0)
 
 
 def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Pair weights of the height path s1 against every column of `heights`,
-    all_height_paths transposed to C order: each path's minimum then runs
-    across n+1 rows, much faster than along 2^n short rows."""
-    diff = s1[:, None] - heights
-    d = diff[-1].astype(float)
-    mins = diff.min(axis=0).astype(float)
-    return b ** d * (a * b) ** (-mins)
+    """Pair weights of the height path s1 against every column of `heights`."""
+    d, mins = _end_and_min(s1, heights)
+    return b ** d.astype(float) * (a * b) ** (-mins.astype(float))
 
 
 def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, NumericConsistencyError, check_rates, check_size
-from .exact_engine import all_height_paths
 from .rng import stream
-from . import textio
 
 GENERATOR_CAP = 12
 STATIONARY_RESIDUAL = 1e-11
@@ -138,19 +136,3 @@ def empirical_distribution(samples: np.ndarray) -> np.ndarray:
     idx = samples.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
     counts = np.bincount(idx, minlength=1 << n).astype(float)
     return counts / counts.sum()
-
-
-def write_stationary_csv(pi: np.ndarray, n: int, path) -> None:
-    """Emit a probability vector indexed by configuration bits."""
-    header = [f"tau_{j}" for j in range(1, n + 1)] + ["probability"]
-    rows = zip(np.diff(all_height_paths(n), axis=1).tolist(), pi.tolist())
-    textio.write_csv(path, header, (bits + [p] for bits, p in rows))
-
-
-def write_kmc_csv(samples: np.ndarray, burn_in: float, thin: float, path) -> None:
-    """Emit KMC snapshots as (time, bit-string) rows."""
-    rows = (
-        (burn_in + k * thin, "".join(map(str, bits)))
-        for k, bits in enumerate(samples.tolist())
-    )
-    textio.write_csv(path, ["time", "configuration"], rows)

@@ -325,8 +325,3 @@ def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:
 def height_endpoint_distribution(n: int, a: float, b: float) -> np.ndarray:
     """Exact law of the height endpoint H(N) = s1(N) under the pair ensemble."""
     return np.exp(_endpoint_log_pmf(n, a, b))
-
-
-def write_endpoint_csv(distribution: np.ndarray, path) -> None:
-    """Emit an endpoint law as (k, probability) rows."""
-    textio.write_csv(path, ["k", "probability"], enumerate(distribution.tolist()))

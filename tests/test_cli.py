@@ -64,6 +64,14 @@ class TestPhase:
         payload = json.loads(out)
         assert payload["a"] == pytest.approx(math.exp(-0.1))
 
+    @pytest.mark.parametrize("argv,a", [(("--a", "1e-17", "--b", "1"), 1e-17),
+                                        (("--n", "1", "--u", "40", "--v", "0"), math.exp(-40))])
+    def test_rate_rounding_to_one_accepted(self, capsys, argv, a):
+        # alpha = 1/(1+a) rounds to 1 here, which only the Markov oracle refuses
+        code, out, _ = run(capsys, "phase", *argv)
+        assert code == 0
+        assert json.loads(out)["a"] == a
+
 
 class TestExitCodes:
     def test_missing_n_is_usage_error(self, capsys):
@@ -204,6 +212,14 @@ class TestStationary:
         lines = (tmp_path / "weights.csv").read_text().splitlines()
         rows = {l.split(",")[0]: float(l.split(",")[-1]) for l in lines[1:]}
         assert rows["1"] == pytest.approx(2 / 5)
+
+    def test_refused_rate_writes_nothing(self, capsys, tmp_path):
+        # alpha = 1/(1+1e-17) rounds to 1, which the generator refuses only
+        # after the other routes have run; no partial weights.csv is left
+        code, _, err = run(capsys, "stationary", "--n", "3", "--a", "1e-17", "--b", "1",
+                           "--out", str(tmp_path))
+        assert code == 2 and "alpha must lie in (0, 1)" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
@@ -395,7 +411,8 @@ class TestLdp:
         assert math.isfinite(payload["rate"])
         assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-3
 
-    @pytest.mark.parametrize("r,a,b", [("0.9", "0.5", "1e20"), ("1", "1e150", "1e150")])
+    @pytest.mark.parametrize("r,a,b", [("0.9", "0.5", "1e20"), ("1", "1e150", "1e150"),
+                                       ("0.7", "1e-200", "1e100")])
     def test_extreme_density_branches(self, capsys, r, a, b):
         # outer branches where b/(1+b) or 1/(1+a) rounds to 1
         code, out, _ = run(capsys, "ldp", "density", "--r", r, "--a", a, "--b", b)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import opentasep
 from opentasep import (
+    BoundaryParams,
     DomainError,
     LatticePath,
     Occupation,
@@ -67,12 +69,21 @@ class TestParams:
         for alpha in (0.1, 0.37, 0.5, 0.93):
             for beta in (0.22, 0.5, 0.81):
                 p = params_from_rates(alpha, beta)
-                assert 1.0 / (1.0 + p.a) == pytest.approx(alpha, rel=1e-14)
-                assert 1.0 / (1.0 + p.b) == pytest.approx(beta, rel=1e-14)
+                assert abs(p.alpha - alpha) <= 2 * math.ulp(alpha)
+                assert abs(p.beta - beta) <= 2 * math.ulp(beta)
 
     def test_params_from_ab(self):
         p = params_from_ab(2.0, 1.0)
         assert p.alpha == pytest.approx(1 / 3) and p.beta == 0.5
+
+    def test_stores_only_ab(self):
+        # alpha = 1/(1+1e-17) rounds to 1, yet (a, b) is a valid point
+        p = BoundaryParams(1e-17, 1.0)
+        assert [f.name for f in dataclasses.fields(p)] == ["a", "b"]
+        assert (p.a, p.b, p.alpha, p.beta) == (1e-17, 1.0, 1.0, 0.5)
+        for a in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                BoundaryParams(a, 1.0)
 
 
 class TestPhase:

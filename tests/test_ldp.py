@@ -341,8 +341,8 @@ class TestRateDensity:
                     assert val > 0.0
 
     def test_extreme_ab_branches(self):
-        # b/(1+b) rounds to 1; the CLI cases of this kind are in test_cli, which
-        # cannot take a = 1e-200 (its alpha = 1/(1+a) rounds to 1)
+        # b/(1+b) and alpha = 1/(1+a) round to 1; test_cli runs the same
+        # point through `ldp density`
         rate = rate_density(0.7, 1e-200, 1e100)
         assert math.isfinite(rate)
         assert abs(rate - rate_density_variational(0.7, 1e-200, 1e100)) <= 1e-9

@@ -123,29 +123,3 @@ class TestKmc:
             kmc_sample(13, 0.5, 0.5, burn_in=1.0, n_samples=10, thin=1.0, seed=1)
         with pytest.raises(DomainError):
             kmc_sample(2, 1.5, 0.5, burn_in=1.0, n_samples=10, thin=1.0, seed=1)
-
-
-class TestEmission:
-    def test_stationary_csv(self, tmp_path):
-        from opentasep.markov_oracle import write_stationary_csv
-
-        pi = solve_stationary(build_generator(2, 0.5, 0.5))
-        path = tmp_path / "pi.csv"
-        write_stationary_csv(pi, 2, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "tau_1,tau_2,probability"
-        assert len(lines) == 5
-        assert float(lines[1].split(",")[-1]) == pytest.approx(0.25)
-
-    def test_kmc_csv(self, tmp_path):
-        from opentasep.markov_oracle import write_kmc_csv
-
-        s = kmc_sample(3, 0.3, 0.6, burn_in=2.0, n_samples=4, thin=0.5, seed=1)
-        path = tmp_path / "kmc.csv"
-        write_kmc_csv(s, 2.0, 0.5, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time,configuration"
-        assert len(lines) == 5
-        t0, bits = lines[1].split(",")
-        assert float(t0) == 2.0 and len(bits) == 3
-        assert lines[2].split(",")[0] == "2.5"

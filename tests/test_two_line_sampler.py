@@ -428,15 +428,3 @@ class TestSerialization:
             offset += per_line
             assert [((bits1 >> j) & 1) for j in range(9)] == list(d1[i])
             assert [((bits2 >> j) & 1) for j in range(9)] == list(d2[i])
-
-
-def test_endpoint_csv(tmp_path):
-    from opentasep.two_line_sampler import write_endpoint_csv
-
-    dist = height_endpoint_distribution(3, 1.0, 1.0)
-    path = tmp_path / "endpoint.csv"
-    write_endpoint_csv(dist, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,probability"
-    assert len(lines) == 5
-    assert float(lines[1].split(",")[1]) == pytest.approx(0.125)
