@@ -7,8 +7,8 @@ Conventions:
   * every stochastic command is a pure function of (config, seed);
   * flags > config file > defaults; the config file is flat "key = value"
     lines, keys matching long option names;
-  * each command imports only the modules it runs, so `phase` and
-    `ldp density` start without NumPy.
+  * each command imports only the modules it runs, so `phase`,
+    `ldp density` and `ldp rate` start without NumPy.
 """
 
 from __future__ import annotations
@@ -439,6 +439,10 @@ def cmd_ldp(args) -> int:
         _require(args, ["profile"])
         params = _resolve_params(args, n=args.n)
         f = _load_profile(args.profile)
+        if not f.admissible:  # its rate is +inf, which JSON cannot carry
+            x0, x1, s = next((x0, x1, s) for x0, x1, s in zip(f.knots, f.knots[1:], f.slopes)
+                             if not ldp.Profile.linear(s).admissible)
+            raise DomainError(f"profile slope {s:.6g} on [{x0!r}, {x1!r}] lies outside [0, 1]")
         report = ldp.rate_height_report(f, params.a, params.b)
         info = phase_info(params.a, params.b)
         payload = {

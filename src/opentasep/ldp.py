@@ -30,17 +30,25 @@ concave dual -sum_i w_i softplus(z_i) - lam mu.f(X) - log(b) f(1), where
 lam = -log(ab), z_i = -lam M_i - log b and M_i is the mu-mass at points
 >= X_{i+1}; its gradient is lam (g_mu(X) - f(X)).
 
-The mean-density rates (rate_density, rate_density_variational and the
-variational K) are scalar and live in core, which loads no NumPy; they are
-re-exported here.
+Everything here computes on tuples and lists of Python floats with math,
+bisect and itertools, so importing ldp loads no NumPy.  Profile.at returns
+what np.interp returns, bit for bit, and the mesh is np.union1d(np.linspace(0,
+1, mesh + 1), knots) element for element, so the closed forms give the same
+floats as an array implementation would; the solver's sums run in their own
+order.  The mean-density rates (rate_density, rate_density_variational and
+the variational K) are scalar and live in core; they are re-exported here.
+Only finite_n_ldp_check loads NumPy, through the sampler it calls.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import accumulate, pairwise
+from numbers import Real
+from operator import lt, mul, sub, truediv
 
 from .core import (  # the density rates are core's, re-exported here
     DomainError,
@@ -57,7 +65,32 @@ from .core import (  # the density rates are core's, re-exported here
 )
 
 SLOPE_TOL = 1e-9  # slopes within this of [0, 1] count as admissible
-MESH_CAP = 10**6  # largest mesh of rate_height_variational (~10 arrays of mesh doubles)
+# largest mesh of rate_height_variational: about ten lists of mesh + 1 Python
+# floats, ~32 B per cell per list (an 8 B pointer and a 24 B float object)
+MESH_CAP = 10**6
+
+
+def _diff(xs) -> list[float]:
+    return [x1 - x0 for x0, x1 in pairwise(xs)]
+
+
+def _argmin(xs) -> int:
+    """Index of the first minimum, as np.argmin."""
+    return min(range(len(xs)), key=xs.__getitem__)
+
+
+def _union(xs, ys) -> list[float]:
+    """The sorted distinct points of xs and ys, as np.union1d."""
+    return sorted({*xs, *ys})
+
+
+def _mesh(knots, mesh: int) -> list[float]:
+    """np.union1d(np.linspace(0, 1, mesh + 1), knots), element for element:
+    linspace's points are i * (1 / mesh), with the last one set to 1."""
+    step = 1.0 / mesh
+    grid = [i * step for i in range(mesh)] + [1.0]
+    extra = [k for k in knots if grid[bisect_left(grid, k)] != k]
+    return sorted(grid + extra)  # two sorted runs, merged in linear time
 
 
 @dataclass(frozen=True)
@@ -72,15 +105,15 @@ class Profile:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ks = tuple(float(x) for x in self.knots)
-        vs = tuple(float(y) for y in self.values)
+        ks = tuple(map(float, self.knots))
+        vs = tuple(map(float, self.values))
         if len(ks) != len(vs) or len(ks) < 2:
             raise DomainError("profile needs matching knots/values, length >= 2")
         if not all(map(math.isfinite, ks + vs)):
             raise DomainError("profile knots and values must be finite")
         if ks[0] != 0.0 or ks[-1] != 1.0:
             raise DomainError("profile knots must start at 0 and end at 1")
-        if any(x1 <= x0 for x0, x1 in zip(ks, ks[1:])):
+        if not all(map(lt, ks, ks[1:])):
             raise DomainError("profile knots must be strictly increasing")
         if vs[0] != 0.0:
             raise DomainError("profile must satisfy f(0) = 0")
@@ -91,19 +124,29 @@ class Profile:
     def linear(cls, r: float) -> "Profile":
         return cls((0.0, 1.0), (0.0, float(r)))
 
-    @property
-    def slopes(self) -> np.ndarray:
-        ks = np.asarray(self.knots)
-        vs = np.asarray(self.values)
-        return np.diff(vs) / np.diff(ks)
+    @cached_property
+    def slopes(self) -> tuple[float, ...]:
+        return tuple(map(truediv, _diff(self.values), _diff(self.knots)))
 
     @property
     def admissible(self) -> bool:
-        s = self.slopes
-        return bool((s >= -SLOPE_TOL).all() and (s <= 1.0 + SLOPE_TOL).all())
+        return all(-SLOPE_TOL <= s <= 1.0 + SLOPE_TOL for s in self.slopes)
 
-    def at(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
+    def at(self, x):
+        """f(x) as np.interp computes it, bit for bit; a sequence of points
+        gives a list."""
+        ks, vs, slopes = self.knots, self.values, self.slopes
+        last = len(ks) - 1
+
+        def one(t):
+            j = bisect_right(ks, t) - 1
+            if j < 0:
+                return vs[0]
+            if j == last or ks[j] == t:
+                return vs[j]
+            return slopes[j] * (t - ks[j]) + vs[j]
+
+        return one(x) if isinstance(x, Real) else list(map(one, x))
 
     def endpoint(self) -> float:
         return self.values[-1]
@@ -138,14 +181,13 @@ class MonotoneStep:
 
     def at(self, x: float) -> float:
         """Right-continuous evaluation."""
-        i = np.searchsorted(self.edges, x, side="right") - 1
-        return self.levels[min(max(int(i), 0), len(self.levels) - 1)]
+        i = bisect_right(self.edges, x) - 1
+        return self.levels[min(max(i, 0), len(self.levels) - 1)]
 
     def integral_profile(self) -> Profile:
         """The profile x -> int_0^x of this step function."""
-        lens = np.diff(self.edges)
-        vals = np.concatenate([[0.0], np.cumsum(lens * np.asarray(self.levels))])
-        return Profile(self.edges, tuple(vals))
+        areas = map(mul, _diff(self.edges), self.levels)
+        return Profile(self.edges, (0.0, *accumulate(areas)))
 
 
 def _h_slope(s: float) -> float:
@@ -158,21 +200,20 @@ def _h_slope(s: float) -> float:
 def entropy_integral(f: Profile) -> float:
     """int_0^1 h(f'(x)) dx, exactly; +inf if any slope is inadmissible."""
     total = 0.0
-    ks = f.knots
-    for i, s in enumerate(f.slopes):
-        h = _h_slope(float(s))
+    for width, s in zip(_diff(f.knots), f.slopes):
+        h = _h_slope(s)
         if math.isinf(h):
             return math.inf
-        total += (ks[i + 1] - ks[i]) * h
+        total += width * h
     return total
 
 
 def _min_difference(f: Profile, g: Profile) -> tuple[float, float]:
     """(min over [0,1] of f-g, leftmost attaining point); exact at knots."""
-    xs = np.union1d(f.knots, g.knots)
-    diff = f.at(xs) - g.at(xs)
-    i = int(np.argmin(diff))
-    return float(diff[i]), float(xs[i])
+    xs = _union(f.knots, g.knots)
+    diff = list(map(sub, f.at(xs), g.at(xs)))
+    i = _argmin(diff)
+    return diff[i], xs[i]
 
 
 def rate_two_line(f1: Profile, f2: Profile, a: float, b: float) -> float:
@@ -226,7 +267,7 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
         raise DomainError("fe must be convex (nondecreasing slopes)")
     lo = a / (1.0 + a)
     hi = 1.0 / (1.0 + b)
-    levels = np.clip(slopes, lo, hi)
+    levels = [min(max(s, lo), hi) for s in slopes]
     # x1 = inf{x : fe'(x) >= lo}, x2 = sup{x <= 1 : fe'(x) < hi}
     x1 = 1.0
     for i, s in enumerate(slopes):
@@ -244,7 +285,7 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
         if kept and abs(lev - kept[-1]) <= 1e-15:
             edges[-1] = fe.knots[i + 1]
             continue
-        kept.append(float(lev))
+        kept.append(lev)
         edges.append(fe.knots[i + 1])
     return MonotoneStep(tuple(edges), tuple(kept), x1=x1, x2=x2)
 
@@ -253,15 +294,13 @@ def J_star(f: Profile, G: MonotoneStep) -> float:
     """int f' log G + (1 - f') log(1 - G), exactly on the merged breakpoints."""
     if any(not 0.0 < lev < 1.0 for lev in G.levels):
         raise DomainError("G must stay strictly inside (0, 1)")
-    xs = np.union1d(f.knots, G.edges)
     total = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
+    for x0, x1 in pairwise(_union(f.knots, G.edges)):
         mid = 0.5 * (x0 + x1)
-        i = np.searchsorted(f.knots, mid, side="right") - 1
-        slope = f.slopes[int(i)]
+        slope = f.slopes[bisect_right(f.knots, mid) - 1]
         lev = G.at(mid)
         total += (x1 - x0) * (slope * math.log(lev) + (1.0 - slope) * math.log1p(-lev))
-    return float(total)
+    return total
 
 
 def J_upper(f: Profile, g: Profile, a: float, b: float) -> float:
@@ -293,21 +332,20 @@ def rate_height_report(f: Profile, a: float, b: float) -> HeightRateReport:
     if a * b >= 1.0:
         # two-integral objective; piecewise linear in the crossover y, so the
         # minimum over y is attained at a knot of f
-        ks = np.asarray(f.knots)
-        fs = np.asarray(f.values)
-        slopes = np.clip((fs[1:] - fs[:-1]) / (ks[1:] - ks[:-1]), 0.0, 1.0)
-        lens = np.diff(ks)
-        h_vals = np.array([entropy_h(s) for s in slopes])
+        ks, fs = f.knots, f.values
+        h_vals = [entropy_h(min(max(s, 0.0), 1.0)) for s in f.slopes]
         # cumulative int_0^y h(f'), evaluated at knots
-        cum_h = np.concatenate([[0.0], np.cumsum(lens * h_vals)])
+        cum_h = [0.0, *accumulate(map(mul, _diff(ks), h_vals))]
         log_a, log_b = math.log(a), math.log(b)
-        first = cum_h + fs * log_a - ks * math.log1p(a)
-        second = (cum_h[-1] - cum_h) + ((1.0 - ks) - (fs[-1] - fs)) * log_b \
-            - (1.0 - ks) * math.log1p(b)
-        objective = first + second
-        i = int(np.argmin(objective))
-        rate = float(objective[i]) - shock_region_K(a, b)
-        return HeightRateReport(rate, "shock", float(ks[i]), None, None)
+        log1p_a, log1p_b = math.log1p(a), math.log1p(b)
+        objective = [
+            (c + y * log_a - x * log1p_a)
+            + ((cum_h[-1] - c) + ((1.0 - x) - (fs[-1] - y)) * log_b - (1.0 - x) * log1p_b)
+            for x, y, c in zip(ks, fs, cum_h)
+        ]
+        i = _argmin(objective)
+        rate = objective[i] - shock_region_K(a, b)
+        return HeightRateReport(rate, "shock", ks[i], None, None)
     fe = convex_envelope(f)
     g_star = optimal_G(fe, a, b)
     rate = hf + J_star(fe, g_star) - fan_region_K(a, b)
@@ -330,57 +368,84 @@ class VariationalResult:
     gap: float
 
 
-def _sigmoid(z):
-    return np.exp(-np.logaddexp(0.0, -z))
+def _softplus(z: float) -> float:
+    """log(1 + e^z), evaluated as np.logaddexp(0, z)."""
+    if z > 0.0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
 
 
-def _mesh_primal(z, w, fX, log_ab, log_b) -> tuple[float, np.ndarray]:
-    """J_upper and g on the mesh for cell slopes sigmoid(z); h(sigmoid(z)) is
-    written sigmoid(z) z - softplus(z), which has no log 0."""
-    s = _sigmoid(z)
-    gX = np.concatenate([[0.0], np.cumsum(w * s)])
-    value = (w @ (s * z - np.logaddexp(0.0, z)) + log_ab * (fX - gX).min()
-             - log_b * (fX[-1] - gX[-1]))
-    return float(value), gX
+def _sigmoid(z: float) -> float:
+    return math.exp(-_softplus(-z))
 
 
-def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[np.ndarray, float]:
+def _per_cell(fn, z) -> list[float]:
+    """fn(z_i) for each cell, calling fn once per distinct logit: the solvers'
+    z is constant between the mass points of mu."""
+    values = {v: fn(v) for v in set(z)}
+    return list(map(values.__getitem__, z))
+
+
+def _cell_entropy(z: float) -> float:
+    """h(sigmoid(z)) written sigmoid(z) z - softplus(z), which has no log 0."""
+    return _sigmoid(z) * z - _softplus(z)
+
+
+def _mesh_primal(z, w, fX, log_ab, log_b) -> tuple[float, list[float]]:
+    """J_upper and g on the mesh for cell slopes sigmoid(z)."""
+    gX = [0.0, *accumulate(map(mul, w, _per_cell(_sigmoid, z)))]
+    value = (sum(map(mul, w, _per_cell(_cell_entropy, z)))
+             + log_ab * min(map(sub, fX, gX)) - log_b * (fX[-1] - gX[-1]))
+    return value, gX
+
+
+def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
     """Logits of the minimizer, and the minimum, for log ab >= 0: for each
     point X_t, cells left of it take c = log a and cells right of it -log b."""
     log_a = log_ab - log_b
-    per_point = (log_ab * fX - X * np.logaddexp(0.0, log_a)
-                 - (1.0 - X) * np.logaddexp(0.0, -log_b) - log_b * fX[-1])
-    t = int(np.argmin(per_point))
-    return np.where(np.arange(w.size) < t, log_a, -log_b), float(per_point[t])
+    soft_a, soft_b, end = _softplus(log_a), _softplus(-log_b), log_b * fX[-1]
+    per_point = [log_ab * y - x * soft_a - (1.0 - x) * soft_b - end
+                 for x, y in zip(X, fX)]
+    t = _argmin(per_point)
+    return [log_a] * t + [-log_b] * (len(w) - t), per_point[t]
 
 
 _FW_ITERATIONS = 2000   # pairwise Frank-Wolfe cap; the gap is reported either way
 _FW_TOL = 1e-10         # duality gap at which the fan solve stops
 
 
-def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[np.ndarray, float]:
+def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
     """Logits of the Lagrangian minimizer, and the dual value, for log ab < 0.
     Pairwise Frank-Wolfe (Lacoste-Julien & Jaggi 2015) moves mu-mass from the
     support point of largest D to the point of smallest D, with an exact line
     search by bisection on the monotone directional derivative; its gap
     lam (mu.D - min D) is primal - dual."""
     lam = -log_ab
-    mu = np.zeros(X.size)
-    mu[int(np.argmin(fX - X * _sigmoid(-log_b)))] = 1.0
+    mu = [0.0] * len(X)
+    s0 = _sigmoid(-log_b)
+    mu[_argmin([y - x * s0 for x, y in zip(X, fX)])] = 1.0
     for iteration in range(_FW_ITERATIONS + 1):
-        z = -lam * np.cumsum(mu[::-1])[::-1][1:] - log_b
-        D = fX - np.concatenate([[0.0], np.cumsum(w * _sigmoid(z))])
-        j = int(np.argmin(D))
-        if lam * (mu @ D - D[j]) <= _FW_TOL or iteration == _FW_ITERATIONS:
+        # z_i = -lam M_i - log b, with M_i the mu-mass at points >= X_{i+1}
+        tail_mass = list(accumulate(reversed(mu)))
+        z = [-lam * m - log_b for m in tail_mass[-2::-1]]
+        D = list(map(sub, fX, accumulate(map(mul, w, _per_cell(_sigmoid, z)), initial=0.0)))
+        j = _argmin(D)
+        support = [i for i, m in enumerate(mu) if m]
+        gap = lam * (sum(mu[i] * D[i] for i in support) - D[j])
+        if gap <= _FW_TOL or iteration == _FW_ITERATIONS:
             break
-        support = np.flatnonzero(mu)
-        k = int(support[np.argmax(D[support])])
+        k = max(support, key=D.__getitem__)
         # moving mass gamma from k to j adds -lam sign gamma to z on the cells
         # between them; lam * slope(gamma) is the dual's directional derivative
         sign, lo, hi = (1.0, k, j) if j > k else (-1.0, j, k)
+        widths: dict[float, float] = {}  # total width of the cells at each z
+        for v, width in zip(z[lo:hi], w[lo:hi]):
+            widths[v] = widths.get(v, 0.0) + width
 
         def slope(gamma: float) -> float:
-            return sign * (w[lo:hi] @ _sigmoid(z[lo:hi] - lam * sign * gamma)) - fX[j] + fX[k]
+            shift = lam * sign * gamma
+            return (sign * sum(width * _sigmoid(v - shift) for v, width in widths.items())
+                    - fX[j] + fX[k])
 
         gamma = mu[k]
         if slope(gamma) < 0.0:
@@ -391,7 +456,8 @@ def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[np.ndarray, float]:
             gamma = left
         mu[j] += gamma
         mu[k] -= gamma
-    return z, float(-(w @ np.logaddexp(0.0, z)) - lam * (mu @ fX) - log_b * fX[-1])
+    mu_f = sum(mu[i] * fX[i] for i in support)
+    return z, -sum(map(mul, w, _per_cell(_softplus, z))) - lam * mu_f - log_b * fX[-1]
 
 
 def rate_height_variational(f: Profile, a: float, b: float,
@@ -408,8 +474,8 @@ def rate_height_variational(f: Profile, a: float, b: float,
     hf = entropy_integral(f)
     if math.isinf(hf):
         return VariationalResult(math.inf, Profile.linear(0.0), 0.0)
-    X = np.union1d(np.linspace(0.0, 1.0, mesh + 1), f.knots)
-    w, fX = np.diff(X), f.at(X)
+    X = _mesh(f.knots, mesh)
+    w, fX = _diff(X), f.at(X)
     log_ab, log_b = math.log(a * b), math.log(b)
     solve = _shock_mesh_solve if log_ab >= 0.0 else _fan_mesh_solve
     z, dual = solve(X, w, fX, log_ab, log_b)
@@ -418,7 +484,7 @@ def rate_height_variational(f: Profile, a: float, b: float,
                              Profile(tuple(X), tuple(gX)), primal - dual)
 
 
-def _pav_nondecreasing(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pav_nondecreasing(targets: list[float], weights: list[float]) -> list[float]:
     """Pool-adjacent-violators for weighted isotonic means."""
     means = []
     ws = []
@@ -433,12 +499,7 @@ def _pav_nondecreasing(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
             means.append((m1 * w1 + m2 * w2) / (w1 + w2))
             ws.append(w1 + w2)
             counts.append(c1 + c2)
-    out = np.empty(targets.size)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    return out
+    return [m for m, c in zip(means, counts) for _ in range(c)]
 
 
 def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
@@ -454,17 +515,13 @@ def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
         raise DomainError(f"sup_over_G needs ab <= 1, got ab = {a * b:g}")
     if mesh < 2:
         raise DomainError("mesh must be >= 2")
-    edges = np.union1d(np.linspace(0.0, 1.0, mesh + 1), np.asarray(f.knots))
-    fvals = f.at(edges)
-    lens = np.diff(edges)
-    incs = np.diff(fvals)
-    slopes = incs / lens
-    iso = _pav_nondecreasing(slopes, lens)
+    edges = _mesh(f.knots, mesh)
+    lens, incs = _diff(edges), _diff(f.at(edges))
+    iso = _pav_nondecreasing(list(map(truediv, incs, lens)), lens)
     lo = a / (1.0 + a)
     hi = 1.0 / (1.0 + b)
-    g = np.clip(iso, lo, hi)
-    val = float(np.sum(incs * np.log(g) + (lens - incs) * np.log1p(-g)))
-    return val
+    return sum(d * math.log(g) + (width - d) * math.log1p(-g)
+               for d, width, g in zip(incs, lens, (min(max(v, lo), hi) for v in iso)))
 
 
 @dataclass(frozen=True)

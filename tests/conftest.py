@@ -120,11 +120,13 @@ def triple_point_runs():
     """The N = 2048 triple-point ensembles, computed once per session:
     `scaled(u, v)` is 1e5 scaled samples at seed 7, `limit(u, v, n_steps)` is
     2e5 limit paths at seed 101.  C6 and `TestFullProcessMatch` share the
-    (1, 1) and (-1, -1) draws."""
+    (1, 1) and (-1, -1) draws.  The scaled draws run on two threads; the
+    sampler's output does not depend on the thread count."""
 
     @functools.cache
     def scaled(u, v):
-        return ot.sample_scaled_processes(ot.ScalingConfig(u, v, 2048), 10**5, seed=7)
+        return ot.sample_scaled_processes(ot.ScalingConfig(u, v, 2048), 10**5, seed=7,
+                                          threads=2)
 
     @functools.cache
     def limit(u, v, n_steps):

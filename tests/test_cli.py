@@ -13,6 +13,10 @@ from opentasep.cli import main
 from opentasep.rng import stream
 
 
+PROFILES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "profiles")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -31,11 +35,16 @@ def test_import_does_not_load_scipy():
     # NumPy either; neither is paid for by the commands that do not use it
     code = "import opentasep.cli, sys; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     assert _last_line_in_fresh_process(code) == "[]"
+    fan, shock = (os.path.join(PROFILES, f"c7_{half}.csv") for half in ("fan", "shock"))
     for argv in (["phase", "--a", "2", "--b", "1"],
-                 ["ldp", "density", "--r", "0.3", "--a", "2", "--b", "1.5"]):
+                 ["ldp", "density", "--r", "0.3", "--a", "2", "--b", "1.5"],
+                 ["ldp", "rate", "--profile", fan, "--a", "0.5", "--b", "0.8", "--variational"],
+                 ["ldp", "rate", "--profile", shock, "--a", "2", "--b", "1.5", "--variational"]):
         code = (f"import sys; from opentasep.cli import main; code = main({argv!r}); "
                 "print(code, 'numpy' in sys.modules)")
         assert _last_line_in_fresh_process(code) == "0 False", argv
+    code = "import opentasep.ldp, sys; print('numpy' in sys.modules)"
+    assert _last_line_in_fresh_process(code) == "False"
 
 
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
@@ -382,6 +391,20 @@ class TestLdp:
                            "--a", "0.5", "--b", "0.5")
         assert code == 1
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("extra", [(), ("--variational",)], ids=["closed", "variational"])
+    @pytest.mark.parametrize("a,b", [("0.5", "0.8"), ("2", "1.5")], ids=["fan", "shock"])
+    def test_inadmissible_profile_is_domain_error(self, capsys, tmp_path, a, b, extra):
+        # its rate is +inf, which JSON cannot carry: refuse it and write nothing
+        prof = tmp_path / "f.csv"
+        prof.write_text("x,f\n0,0\n0.5,0.9\n1,1\n")
+        dest = tmp_path / "rate.json"
+        code, out, err = run(capsys, "ldp", "rate", "--profile", str(prof), "--a", a,
+                             "--b", b, "--out", str(dest), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "domain error: profile slope 1.8 on [0.0, 0.5] lies outside [0, 1]\n"
+        assert not dest.exists()
 
     def test_density(self, capsys):
         code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", "2", "--b", "2")

@@ -54,6 +54,23 @@ class TestProfile:
         assert not f.admissible
         assert rate_height_closed(f, 1.0, 1.0) == math.inf
 
+    def test_at_and_mesh_equal_numpy(self):
+        # ldp computes on Python floats; its interpolation and mesh must give
+        # np.interp's and np.union1d(np.linspace(...), knots)'s floats exactly
+        from opentasep.ldp import _mesh
+
+        rng = stream(51, 0)
+        for knot_mesh in (60, 200, 997):
+            for _ in range(5):
+                f = random_profile(rng, int(rng.integers(2, 12)), mesh=knot_mesh)
+                for mesh in (60, 200, 997):
+                    X = np.union1d(np.linspace(0.0, 1.0, mesh + 1), f.knots)
+                    assert _mesh(f.knots, mesh) == X.tolist()
+                    for xs in (np.asarray(f.knots), X):
+                        want = np.interp(xs, f.knots, f.values).tolist()
+                        assert f.at(xs) == want
+                        assert [f.at(float(x)) for x in xs] == want
+
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
             Profile((0.0, 1.0), (0.1, 0.5))
@@ -110,7 +127,7 @@ class TestConvexEnvelope:
             slopes = fe.slopes
             assert (np.diff(slopes) >= -1e-12).all()
             xs = np.linspace(0, 1, 101)
-            assert (fe.at(xs) <= f.at(xs) + 1e-12).all()
+            assert (np.asarray(fe.at(xs)) <= np.asarray(f.at(xs)) + 1e-12).all()
             assert fe.at(0.0) == f.at(0.0) and fe.at(1.0) == pytest.approx(f.at(1.0))
 
 
