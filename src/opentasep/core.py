@@ -1,23 +1,22 @@
-"""Boundary parameterization, height-function bijection, phase diagram,
-entropy primitives, and the mean-density rate function of the open-boundary
-TASEP.
+"""Boundary parameterization, input-domain checks, phase diagram, entropy
+primitives, and the mean-density rate function of the open-boundary TASEP.
 
 The boundary is parameterized by a, b > 0, the only pair BoundaryParams
 stores and the one every module works in.  The injection/extraction rates
 
     alpha = 1/(1 + a),    beta = 1/(1 + b)
 
-are derived from it; only the Markov oracle uses them.  The height
-function H(k) = tau_1 + ... + tau_k identifies occupation configurations with
-lattice paths started at 0 with increments in {0, 1}.
+are derived from it; only the Markov oracle uses them.  A configuration is
+a 0/1 tuple (tau_1, ..., tau_N), which check_bits vets; its height function
+is the partial sums H(k) = tau_1 + ... + tau_k, a path started at 0 with
+increments in {0, 1}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 LOG4 = math.log(4.0)
 
@@ -77,6 +76,15 @@ def check_uv(u: float, v: float) -> None:
             raise DomainError(f"{name} must be finite, got {val!r}")
 
 
+def check_bits(bits: Iterable[int]) -> tuple[int, ...]:
+    """The configuration as a tuple of ints, refused unless every entry is 0
+    or 1; NaN never passes."""
+    bits = tuple(bits)
+    if not all(bit in (0, 1) for bit in bits):
+        raise DomainError(f"configuration entries must be 0 or 1, got {bits!r}")
+    return tuple(map(int, bits))
+
+
 def check_mesh(mesh: Iterable[float]) -> tuple[float, ...]:
     """The mesh as a tuple of floats, refused unless it is nonempty, sorted,
     within [0, 1] and ends at 1; NaN never passes."""
@@ -134,70 +142,6 @@ def params_from_scaling(u: float, v: float, n: int) -> BoundaryParams:
         if abs(val / root) > _MAX_LOG_PARAM:
             raise DomainError(f"|{name}|/sqrt(n) too large: {abs(val) / root:g}")
     return BoundaryParams(math.exp(-u / root), math.exp(-v / root))
-
-
-@dataclass(frozen=True)
-class Occupation:
-    """An occupation configuration (tau_1, ..., tau_N), each in {0, 1}."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
-            raise DomainError("occupation needs at least one site")
-        if any(bit not in (0, 1) for bit in self.bits):
-            raise DomainError("occupation entries must be 0 or 1")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A path (s_0, ..., s_N) with s_0 = 0 and increments in {0, 1}."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 1 or self.values[0] != 0:
-            raise DomainError("lattice path must start at 0")
-        for prev, cur in zip(self.values, self.values[1:]):
-            if cur - prev not in (0, 1):
-                raise DomainError("lattice path increments must be 0 or 1")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-
-def _bits_of(tau: Occupation | Sequence[int] | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(tau, Occupation):
-        return tau.bits
-    return tuple(int(t) for t in tau)
-
-
-def _values_of(s: LatticePath | Sequence[int] | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(s, LatticePath):
-        return s.values
-    return tuple(int(v) for v in s)
-
-
-def height_from_occupation(tau: Occupation | Sequence[int]) -> LatticePath:
-    """Partial sums s_k = tau_1 + ... + tau_k (with s_0 = 0)."""
-    bits = _bits_of(tau)
-    return LatticePath((0,) + tuple(accumulate(bits)))
-
-
-def occupation_from_height(s: LatticePath | Sequence[int]) -> Occupation:
-    """Inverse of height_from_occupation: tau_k = s_k - s_{k-1}."""
-    values = _values_of(s)
-    if len(values) < 2 or values[0] != 0:
-        raise DomainError("height path must start at 0 and have >= 1 step")
-    bits = tuple(cur - prev for prev, cur in zip(values, values[1:]))
-    if any(bit not in (0, 1) for bit in bits):
-        raise DomainError("height path increments must be 0 or 1")
-    return Occupation(bits)
 
 
 @dataclass(frozen=True)

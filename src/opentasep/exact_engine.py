@@ -12,9 +12,10 @@ Routes:
 
 All three agree; the tests pin this down per configuration.
 
-Configuration indexing: occupation (tau_1, ..., tau_N) maps to the integer
-with bit j-1 equal to tau_j (tau_1 is the least significant bit).  The same
-index identifies the height path with those increments.
+Configuration indexing: a configuration is a 0/1 tuple (tau_1, ..., tau_N)
+and maps to the integer with bit j-1 equal to tau_j (tau_1 is the least
+significant bit).  Its heights are the partial sums s_k = tau_1 + ... + tau_k
+with s_0 = 0, so the same index identifies that height path.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 
 from .core import (
     DomainError,
     NumericConsistencyError,
-    _bits_of,
-    _values_of,
     check_ab,
+    check_bits,
     check_size,
 )
 from . import textio
@@ -44,8 +46,7 @@ IMAG_ABS = 1e-12
 
 
 def config_index(tau) -> int:
-    bits = _bits_of(tau)
-    return sum(bit << j for j, bit in enumerate(bits))
+    return sum(bit << j for j, bit in enumerate(check_bits(tau)))
 
 
 def config_bits(index: int, n: int) -> tuple[int, ...]:
@@ -76,10 +77,10 @@ class WeightTable:
     z: float | Fraction
 
     def __getitem__(self, tau):
+        tau = tuple(tau)
+        if len(tau) != self.n_sites:
+            raise DomainError(f"configuration has {len(tau)} sites, table has {self.n_sites}")
         return self.weights[config_index(tau)]
-
-    def probability(self, tau):
-        return self[tau] / self.z
 
     def probabilities(self) -> np.ndarray:
         w = self.weights.astype(float) if self.weights.dtype == object else self.weights
@@ -227,11 +228,20 @@ def stationary_weights_matrix(n: int, a: float, b: float) -> WeightTable:
     return WeightTable(n_sites=n, a=a, b=b, weights=vals, z=vals.sum())
 
 
+def _heights(s) -> list[int]:
+    """The height path s as ints, refused unless it is nonempty, starts at 0
+    and steps by 0 or 1."""
+    s = tuple(s)
+    if not s or s[0] != 0:
+        raise DomainError(f"height path must be nonempty and start at 0, got {s!r}")
+    return [0, *accumulate(check_bits(y - x for x, y in zip(s, s[1:])))]
+
+
 def two_line_weight(s1, s2, a, b):
     """Pair weight b^(s1(N)-s2(N)) * (ab)^(-min_j (s1(j)-s2(j)))."""
     check_ab(a, b)
-    v1 = _values_of(s1)
-    v2 = _values_of(s2)
+    v1 = _heights(s1)
+    v2 = _heights(s2)
     if len(v1) != len(v2):
         raise DomainError(f"path lengths differ: {len(v1) - 1} vs {len(v2) - 1}")
     diff = [x - y for x, y in zip(v1, v2)]
@@ -245,7 +255,7 @@ def f_n_enumerate(tau, a, b, exact: bool = False):
     (d_N, min_j d_j), on which alone the pair weight depends, and each group
     adds count * b^(d_N) (ab)^(-min d).
     """
-    bits = _bits_of(tau)
+    bits = check_bits(tau)
     n = len(bits)
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)

@@ -53,6 +53,7 @@ from operator import lt, mul, sub, truediv
 from .core import (  # the density rates are core's, re-exported here
     DomainError,
     ResourceLimitError,
+    _softplus,
     check_ab,
     entropy_h,
     fan_K_variational,
@@ -366,13 +367,6 @@ class VariationalResult:
     rate: float
     g_opt: Profile
     gap: float
-
-
-def _softplus(z: float) -> float:
-    """log(1 + e^z), evaluated as np.logaddexp(0, z)."""
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
 
 
 def _sigmoid(z: float) -> float:

@@ -9,8 +9,6 @@ neighbor hops (1,0) -> (0,1) at rate 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DomainError, NumericConsistencyError, check_rates, check_size
@@ -20,17 +18,8 @@ GENERATOR_CAP = 12
 STATIONARY_RESIDUAL = 1e-11
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Sparse 2^N x 2^N rate matrix Q with zero row sums."""
-
-    n_sites: int
-    alpha: float
-    beta: float
-    q: sp.csr_matrix
-
-
-def build_generator(n: int, alpha: float, beta: float) -> GeneratorMatrix:
+def build_generator(n: int, alpha: float, beta: float):
+    """Sparse 2^N x 2^N rate matrix Q (CSR) with zero row sums."""
     import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
 
     check_size(n, GENERATOR_CAP)
@@ -59,12 +48,12 @@ def build_generator(n: int, alpha: float, beta: float) -> GeneratorMatrix:
         rows.append(i)
         cols.append(i)
         vals.append(-out_rate)
-    q = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    return GeneratorMatrix(n_sites=n, alpha=alpha, beta=beta, q=q)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def solve_stationary(gen: GeneratorMatrix) -> np.ndarray:
-    """Probability vector pi with pi Q = 0 and sum(pi) = 1.
+def solve_stationary(q) -> np.ndarray:
+    """Probability vector pi with pi Q = 0 and sum(pi) = 1, for the generator
+    Q that build_generator returns.
 
     One sparse direct solve of Q^T pi = 0 with the last balance equation
     replaced by the normalization.
@@ -72,12 +61,12 @@ def solve_stationary(gen: GeneratorMatrix) -> np.ndarray:
     import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
     import scipy.sparse.linalg
 
-    size = gen.q.shape[0]
-    mat = sp.vstack([gen.q.T[:-1], np.ones((1, size))], format="csc")
+    size = q.shape[0]
+    mat = sp.vstack([q.T[:-1], np.ones((1, size))], format="csc")
     rhs = np.zeros(size)
     rhs[-1] = 1.0
     pi = scipy.sparse.linalg.spsolve(mat, rhs)
-    residual = float(np.max(np.abs(pi @ gen.q)))
+    residual = float(np.max(np.abs(pi @ q)))
     if residual > STATIONARY_RESIDUAL or not (pi > 0).all():
         raise NumericConsistencyError(
             f"stationary solve failed: residual {residual:g}, min component {pi.min():g}"
@@ -106,7 +95,7 @@ def kmc_sample(
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     # successors and rates of state i: off-diagonal CSR row i of the generator
-    q = build_generator(n, alpha, beta).q
+    q = build_generator(n, alpha, beta)
     q.setdiag(0.0)
     q.eliminate_zeros()
     cum_rates = [np.cumsum(q.data[q.indptr[i]:q.indptr[i + 1]]) for i in range(1 << n)]

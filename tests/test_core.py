@@ -12,20 +12,21 @@ import opentasep
 from opentasep import (
     BoundaryParams,
     DomainError,
-    LatticePath,
-    Occupation,
+    ResourceLimitError,
     entropy_h,
+    f_n_enumerate,
     fan_region_K,
-    height_from_occupation,
     normalization_K,
-    occupation_from_height,
     params_from_ab,
     params_from_rates,
     params_from_scaling,
     phase_info,
     relative_entropy,
     shock_region_K,
+    stationary_weights_recursive,
+    two_line_weight,
 )
+from opentasep.core import check_bits
 
 
 class TestParams:
@@ -153,30 +154,38 @@ class TestNormalization:
         assert math.isfinite(normalization_K(1e-30, 1e20))
 
 
-class TestHeightBijection:
-    def test_empty_and_full(self):
-        assert height_from_occupation((0, 0, 0)).values == (0, 0, 0, 0)
-        assert occupation_from_height((0, 1, 2, 3)).bits == (1, 1, 1)
+class TestConfigurationDomain:
+    def test_check_bits_returns_ints(self):
+        bits = check_bits([np.int64(1), 0.0, True])
+        assert bits == (1, 0, 1)
+        assert all(type(bit) is int for bit in bits)
+        assert check_bits(()) == ()
 
-    def test_partial_sums(self):
-        assert height_from_occupation((1, 0, 1)).values == (0, 1, 1, 2)
-        assert occupation_from_height((0, 1, 1, 2)).bits == (1, 0, 1)
+    @pytest.mark.parametrize("bit", [0.5, 2, -1, math.nan, math.inf])
+    def test_check_bits_refuses(self, bit):
+        with pytest.raises(DomainError):
+            check_bits((0, bit, 1))
 
-    def test_round_trip_all_small(self):
-        for n in range(1, 7):
-            for i in range(1 << n):
-                bits = tuple((i >> j) & 1 for j in range(n))
-                assert occupation_from_height(height_from_occupation(bits)).bits == bits
+    @pytest.mark.parametrize("tau", [(2, 0), (1,), (0, 0.5), (1, 0, 1)])
+    def test_weight_table_refuses(self, tau):
+        table = stationary_weights_recursive(2, 2, 1)
+        with pytest.raises(DomainError):
+            table[tau]
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize("tau", [(0, 2), (0.5, 1)])
+    def test_pair_sum_refuses(self, tau):
         with pytest.raises(DomainError):
-            Occupation((0, 2))
+            f_n_enumerate(tau, 2, 1)
+
+    def test_pair_sum_empty_is_a_size_error(self):
+        with pytest.raises(ResourceLimitError):
+            f_n_enumerate((), 2, 1)
+
+    @pytest.mark.parametrize("s1,s2", [((0, 2, 2), (0, 0, 0)), ((1, 2), (0, 1)),
+                                       ((0, 1, 0), (0, 0, 0)), ((), ())])
+    def test_pair_weight_refuses(self, s1, s2):
         with pytest.raises(DomainError):
-            LatticePath((1, 2))
-        with pytest.raises(DomainError):
-            LatticePath((0, 2))
-        with pytest.raises(DomainError):
-            occupation_from_height((0, 1, 0))
+            two_line_weight(s1, s2, 2, 1)
 
 
 class TestEntropy:
@@ -213,12 +222,10 @@ class TestEntropy:
 # every name the package namespace exports, by the submodule that defines or
 # re-exports it
 PUBLIC_NAMES = {
-    "core": ("BoundaryParams", "DomainError", "LatticePath", "NumericConsistencyError",
-             "Occupation", "PhaseInfo", "ResourceLimitError", "VerificationError",
-             "entropy_h", "fan_region_K", "height_from_occupation", "log_c_growth_rate",
-             "normalization_K", "occupation_from_height", "params_from_ab",
-             "params_from_rates", "params_from_scaling", "phase_info", "relative_entropy",
-             "shock_region_K"),
+    "core": ("BoundaryParams", "DomainError", "NumericConsistencyError", "PhaseInfo",
+             "ResourceLimitError", "VerificationError", "entropy_h", "fan_region_K",
+             "log_c_growth_rate", "normalization_K", "params_from_ab", "params_from_rates",
+             "params_from_scaling", "phase_info", "relative_entropy", "shock_region_K"),
     "exact_engine": ("TwoLineTable", "WeightTable", "f_n_enumerate",
                      "stationary_weights_matrix", "stationary_weights_recursive",
                      "tle_enumerate", "two_line_weight", "verify_marginal_identity"),
@@ -245,6 +252,11 @@ class TestNamespace:
         for name in PUBLIC_NAMES[module]:
             assert getattr(opentasep, name) is getattr(sub, name), name
             assert name in listed, name
+
+    def test_all_lists_exactly_the_public_names(self):
+        assert set(opentasep.__all__) == {n for names in PUBLIC_NAMES.values() for n in names}
+        for name in opentasep.__all__:
+            getattr(opentasep, name)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError):

@@ -18,23 +18,23 @@ class TestGenerator:
     def test_single_site_matrix(self):
         g = build_generator(1, 1 / 3, 1 / 2)
         expected = np.array([[-1 / 3, 1 / 3], [1 / 2, -1 / 2]])
-        assert np.allclose(g.q.toarray(), expected)
+        assert np.allclose(g.toarray(), expected)
 
     def test_row_sums_zero(self):
         g = build_generator(4, 0.3, 0.7)
-        sums = np.asarray(g.q.sum(axis=1)).ravel()
+        sums = np.asarray(g.sum(axis=1)).ravel()
         assert np.max(np.abs(sums)) <= 1e-12
 
     def test_off_diagonals_nonnegative(self):
         g = build_generator(5, 0.3, 0.7)
-        q = g.q.toarray()
+        q = g.toarray()
         off = q - np.diag(np.diag(q))
         assert (off >= 0).all()
 
     def test_hop_count_state_10(self):
         # state (tau_1, tau_2) = (1, 0): only the bulk hop leaves it
         g = build_generator(2, 0.3, 0.7)
-        q = g.q.toarray()
+        q = g.toarray()
         state = 0b01  # tau_1 = 1, tau_2 = 0
         off = [(j, q[state, j]) for j in range(4) if j != state and q[state, j] != 0]
         assert len(off) == 1
@@ -71,7 +71,7 @@ class TestStationarySolve:
         gen = build_generator(11, p.alpha, p.beta)
         pi = solve_stationary(gen)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(pi @ gen.q)) <= 1e-11
+        assert np.max(np.abs(pi @ gen)) <= 1e-11
         for a, b in [(2.0, 1.0), (1.0, 3.0), (3.0, 3.0)]:
             p = params_from_ab(a, b)
             for n in (11, 12):
