@@ -23,13 +23,13 @@ _EXPORTS = {
         "verify_marginal_identity",
     ),
     "fluctuations": (
-        "LimitEnsemble", "ScalingConfig", "compare_distributions", "sample_scaled_height",
-        "sample_scaled_processes", "simulate_limit_exact", "simulate_limit_process",
+        "LimitEnsemble", "ScalingConfig", "compare_distributions", "sample_scaled_processes",
+        "simulate_limit_exact", "simulate_limit_process",
     ),
     "ldp": (
         "Profile", "MonotoneStep", "J_star", "J_upper", "convex_envelope",
-        "finite_n_ldp_check", "optimal_G", "rate_height_closed", "rate_height_report",
-        "rate_height_variational", "rate_two_line", "sup_over_G",
+        "finite_n_ldp_check", "optimal_G", "rate_height_report", "rate_height_variational",
+        "rate_two_line", "sup_over_G",
     ),
     "markov_oracle": ("build_generator", "kmc_sample", "solve_stationary"),
     "two_line_sampler": (

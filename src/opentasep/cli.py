@@ -55,9 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_param_options(p: _Parser, with_n: bool = True) -> None:
-    if with_n:
-        p.add_argument("--n", type=int, default=None, help="system size")
+def _add_param_options(p: _Parser) -> None:
+    p.add_argument("--n", type=int, default=None, help="system size")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
@@ -66,7 +65,7 @@ def _add_param_options(p: _Parser, with_n: bool = True) -> None:
     p.add_argument("--v", type=float, default=None)
 
 
-def _resolve_params(args, n: int | None = None):
+def _resolve_params(args):
     groups = {
         "alpha/beta": (args.alpha, args.beta),
         "a/b": (args.a, args.b),
@@ -86,9 +85,9 @@ def _resolve_params(args, n: int | None = None):
         return params_from_rates(x, y)
     if name == "a/b":
         return params_from_ab(x, y)
-    if n is None:
+    if args.n is None:
         raise UsageError("--u/--v parameterization needs --n")
-    return params_from_scaling(x, y, n)
+    return params_from_scaling(x, y, args.n)
 
 
 def build_parser() -> _Parser:
@@ -218,8 +217,11 @@ def _require(args, names) -> None:
 
 
 def _check_writable(path) -> None:
-    """Refuse an output file whose directory is missing or read-only before
-    any work starts; nothing is created or truncated here."""
+    """Refuse an output file that is a directory, or whose directory is
+    missing or read-only, before any work starts; nothing is created or
+    truncated here."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write output: {path}: is a directory")
     folder = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise UsageError(f"cannot write output: {path}: no writable directory {folder}")
@@ -232,7 +234,7 @@ def _emit(payload: dict, out_path=None) -> None:
 
 
 def cmd_phase(args) -> int:
-    params = _resolve_params(args, n=args.n)
+    params = _resolve_params(args)
     info = phase_info(params.a, params.b)
     _emit({
         "alpha": params.alpha, "beta": params.beta,
@@ -265,7 +267,7 @@ def cmd_stationary(args) -> int:
     from . import exact_engine
 
     _require(args, ["n"])
-    params = _resolve_params(args, n=args.n)
+    params = _resolve_params(args)
     table = exact_engine.stationary_weights_recursive(args.n, params.a, params.b)
     mat_err, gen_err = _route_errors(args.n, params, table)
     # written only once every route has run, so a refused rate leaves no file
@@ -320,8 +322,10 @@ def cmd_sample(args) -> int:
     from . import two_line_sampler
 
     _require(args, ["n", "count", "seed"])
-    params = _resolve_params(args, n=args.n)
+    params = _resolve_params(args)
     _check_writable(args.out)
+    # refuse a bad count or oversized path storage before the table is built
+    two_line_sampler.check_paths_bytes(args.count, args.n)
     table = two_line_sampler.build_partition_table(args.n, params.a, params.b)
     paths = two_line_sampler.sample_two_line(table, args.count, args.seed,
                                              threads=args.threads)
@@ -437,7 +441,7 @@ def cmd_ldp(args) -> int:
         from . import ldp
 
         _require(args, ["profile"])
-        params = _resolve_params(args, n=args.n)
+        params = _resolve_params(args)
         f = _load_profile(args.profile)
         if not f.admissible:  # its rate is +inf, which JSON cannot carry
             x0, x1, s = next((x0, x1, s) for x0, x1, s in zip(f.knots, f.knots[1:], f.slopes)
@@ -461,7 +465,7 @@ def cmd_ldp(args) -> int:
         return EXIT_OK
     if args.ldp_command == "density":
         _require(args, ["r"])
-        params = _resolve_params(args, n=args.n)
+        params = _resolve_params(args)
         payload = {
             "r": args.r, "a": params.a, "b": params.b,
             "rate": rate_density(args.r, params.a, params.b),
@@ -474,7 +478,7 @@ def cmd_ldp(args) -> int:
         from . import ldp
 
         _require(args, ["n", "r"])
-        params = _resolve_params(args, n=args.n)
+        params = _resolve_params(args)
         chk = ldp.finite_n_ldp_check(args.n, params.a, params.b, args.r)
         payload = {
             "n": chk.n, "r": chk.r, "a": params.a, "b": params.b,

@@ -123,10 +123,6 @@ class TwoLineTable:
     def s1_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=1)
 
-    def s1_marginal_probabilities(self) -> np.ndarray:
-        marg = self.s1_marginal()
-        return marg / marg.sum()
-
 
 def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTable:
     """Bottom-up tables p_1, ..., p_N via the canonical reduction dispatch.
@@ -312,8 +308,8 @@ class MarginalReport:
 def verify_marginal_identity(n: int, a: float, b: float, tol: float) -> MarginalReport:
     """Compare the enumerated pair-ensemble s1-marginal with the normalized
     recursion weights; failures are reported, not raised."""
-    table = tle_enumerate(n, a, b)
-    marginal = table.s1_marginal_probabilities()
+    marginal = tle_enumerate(n, a, b).s1_marginal()
+    marginal /= marginal.sum()
     rec = stationary_weights_recursive(n, a, b)
     err = float(np.max(np.abs(marginal - rec.probabilities())))
     return MarginalReport(n, float(a), float(b), tol, err, err <= tol)

@@ -62,7 +62,6 @@ class ScalingConfig:
 class ScaledSample:
     """Scaled processes at the mesh points, one row per sample."""
 
-    mesh: tuple[float, ...]
     w1: np.ndarray
     w_plus: np.ndarray
     w_minus: np.ndarray
@@ -81,13 +80,7 @@ def sample_scaled_processes(cfg: ScalingConfig, count: int, seed: int,
     w1 = (2.0 * s1 - ks) / root
     w_minus = d / root
     w_plus = w1 - w_minus
-    return ScaledSample(mesh=cfg.mesh, w1=w1, w_plus=w_plus, w_minus=w_minus)
-
-
-def sample_scaled_height(cfg: ScalingConfig, count: int, seed: int,
-                         threads: int = 1) -> np.ndarray:
-    """Matrix of W1 values, one row per sample, one column per mesh point."""
-    return sample_scaled_processes(cfg, count, seed, threads=threads).w1
+    return ScaledSample(w1=w1, w_plus=w_plus, w_minus=w_minus)
 
 
 @dataclass(frozen=True)
@@ -250,17 +243,14 @@ def compare_distributions(sample_a, sample_b, weights_b=None) -> DistanceReport:
         raise DomainError("samples must be nonempty")
     if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
         raise DomainError("samples must be finite")
-    if weights_b is None:
-        wb = np.full(xb.size, 1.0 / xb.size)
-    else:
-        wb = np.asarray(weights_b, dtype=float).ravel()
-        with np.errstate(over="ignore"):
-            total = wb.sum()
-        # NaN fails wb >= 0; an infinite weight or an overflowed sum fails total < inf
-        if wb.size != xb.size or not ((wb >= 0).all() and 0.0 < total < math.inf):
-            raise DomainError("weights_b must be finite, nonnegative, not all zero, "
-                              "with a finite sum, and match sample_b")
-        wb = wb / total
+    wb = np.ones(xb.size) if weights_b is None else np.asarray(weights_b, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        total = wb.sum()
+    # NaN fails wb >= 0; an infinite weight or an overflowed sum fails total < inf
+    if wb.size != xb.size or not ((wb >= 0).all() and 0.0 < total < math.inf):
+        raise DomainError("weights_b must be finite, nonnegative, not all zero, "
+                          "with a finite sum, and match sample_b")
+    wb = wb / total
     order = np.argsort(xb, kind="stable")
     xb = xb[order]
     wb = wb[order]

@@ -353,11 +353,6 @@ def rate_height_report(f: Profile, a: float, b: float) -> HeightRateReport:
     return HeightRateReport(rate, "fan", None, g_star.x1, g_star.x2)
 
 
-def rate_height_closed(f: Profile, a: float, b: float) -> float:
-    """Closed-form rate of the height profile f (shock or fan dispatch)."""
-    return rate_height_report(f, a, b).rate
-
-
 @dataclass(frozen=True)
 class VariationalResult:
     """Mesh minimum of J_upper: the rate at the minimizing second line g_opt,

@@ -61,8 +61,6 @@ class PartitionTable:
     """
 
     n_sites: int
-    a: float
-    b: float
     log_l: np.ndarray
     prob_up: np.ndarray
     prob_flat: np.ndarray
@@ -115,9 +113,7 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
                 f"building the full table for n={n}")
     prob_up, prob_flat = np.empty((2, size))
     log_l = np.empty(n + 1)
-    table = PartitionTable(
-        n_sites=n, a=a, b=b, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat
-    )
+    table = PartitionTable(n_sites=n, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat)
     prob_up[table.row(0)] = prob_flat[table.row(0)] = np.nan
     # exact step conditionals: P(+1) = L_{r-1}(q+1)/L_r(q), P(0) = 2 L_{r-1}(q)/L_r(q)
     for r, row in enumerate(_log_l_rows(n, a, b, log_b)):
@@ -155,9 +151,6 @@ class SamplePaths:
     @property
     def s2(self) -> np.ndarray:
         return _heights(self.inc2)
-
-    def increments(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.inc1, self.inc2
 
     def write_csv(self, path) -> None:
         """Increments are 0/1, so each row is 4N-1 ASCII bytes (a digit at
@@ -220,8 +213,6 @@ def _run_chunks(count, seed, threads, width, dtype, record):
     """Two (count, width) arrays, filled chunk by chunk: record(rng, rows1,
     rows2) fills one chunk's row slices, and chunk i uses stream (seed, i),
     so the output is thread-count independent."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
     out1, out2 = np.zeros((2, count, width), dtype=dtype)
 
     def run(job):
@@ -239,12 +230,19 @@ def _run_chunks(count, seed, threads, width, dtype, record):
     return out1, out2
 
 
+def check_paths_bytes(count: int, n_sites: int) -> None:
+    """Refuse count < 1, or storing count paths of n_sites uint8 increments
+    per line when they would pass TABLE_BYTES_CAP."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    check_bytes(2 * count * n_sites, TABLE_BYTES_CAP, f"storing {count} paths of n={n_sites}")
+
+
 def sample_two_line(table: PartitionTable, count: int, seed: int,
                     threads: int = 1) -> SamplePaths:
     """Exact i.i.d. samples from the pair ensemble; deterministic in seed
     and independent of the thread count."""
-    check_bytes(2 * count * table.n_sites, TABLE_BYTES_CAP,  # uint8 inc1 and inc2
-                f"storing {count} paths of n={table.n_sites}")
+    check_paths_bytes(count, table.n_sites)
 
     def record(rng, rows1, rows2):
         for j, (inc1, inc2) in enumerate(_walk(table, len(rows1), rng)):
@@ -256,8 +254,10 @@ def sample_two_line(table: PartitionTable, count: int, seed: int,
 
 
 def check_functionals_bytes(count: int, n_positions: int) -> None:
-    """Refuse storing count samples of int32 s1 and s1 - s2 at n_positions
-    path positions when they would pass TABLE_BYTES_CAP."""
+    """Refuse count < 1, or storing count samples of int32 s1 and s1 - s2 at
+    n_positions path positions when they would pass TABLE_BYTES_CAP."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
     check_bytes(8 * count * n_positions, TABLE_BYTES_CAP,
                 f"storing {count} samples at {n_positions} positions")
 

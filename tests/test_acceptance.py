@@ -32,8 +32,8 @@ def test_criterion_1_marginal_vs_generator():
     for a, b in GRID:
         params = ot.params_from_ab(a, b)
         for n in range(1, 9):
-            table = ot.tle_enumerate(n, a, b)
-            marginal = table.s1_marginal_probabilities()
+            marginal = ot.tle_enumerate(n, a, b).s1_marginal()
+            marginal /= marginal.sum()
             pi = ot.solve_stationary(ot.build_generator(n, params.alpha, params.beta))
             worst = max(worst, float(np.max(np.abs(marginal - pi))))
     passed = worst <= 1e-10
@@ -95,7 +95,7 @@ def test_criterion_4a_sampler_joint_tv():
     law_ok = law_tv <= 3e-3
     # its seeded draws, against the TV of i.i.d. draws from the target
     paths = ot.sample_two_line(table, draws, seed=4)
-    d1, d2 = paths.increments()
+    d1, d2 = paths.inc1, paths.inc2
     powers = 1 << np.arange(n, dtype=np.int64)
     idx = (d1 @ powers) * (1 << n) + d2 @ powers
     emp = np.bincount(idx, minlength=4**n).astype(float)
@@ -137,7 +137,7 @@ def test_criterion_4b_log_c_matches_enumeration():
 def test_criterion_5_scaled_endpoint_variance():
     t0 = time.time()
     cfg = ot.ScalingConfig(0.0, 0.0, 1024)
-    w1 = ot.sample_scaled_height(cfg, 10**5, seed=11)
+    w1 = ot.sample_scaled_processes(cfg, 10**5, seed=11).w1
     end = w1[:, -1]
     var = float(end.var(ddof=1))
     m4 = float(np.mean((end - end.mean()) ** 4))
@@ -188,7 +188,7 @@ def test_criterion_7_closed_vs_variational_height_rate():
     for a, b in [(0.5, 0.8), (2.0, 1.5)]:
         for _ in range(10):
             f = random_profile(int(rng.integers(4, 9)))
-            closed = ot.rate_height_closed(f, a, b)
+            closed = ot.rate_height_report(f, a, b).rate
             var = ot.rate_height_variational(f, a, b, mesh=200)
             worst = max(worst, abs(closed - var.rate))
             largest_gap = max(largest_gap, var.gap)

@@ -127,20 +127,45 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error: cannot write") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv,module,stage", [
+    @pytest.mark.parametrize("argv,module,stage,target", [
         (("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10", "--seed", "1"),
-         two_line_sampler, "build_partition_table"),
-        (("verify", "--n-max", "2"), exact_engine, "stationary_weights_recursive"),
-    ], ids=["sample", "verify"])
+         two_line_sampler, "build_partition_table", "missing_dir/x"),
+        (("verify", "--n-max", "2"), exact_engine, "stationary_weights_recursive",
+         "missing_dir/x"),
+        # an existing directory: the output path itself cannot be a file
+        (("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10", "--seed", "1"),
+         two_line_sampler, "build_partition_table", "."),
+        (("verify", "--n-max", "2"), exact_engine, "stationary_weights_recursive", "."),
+    ], ids=["sample", "verify", "sample-directory", "verify-directory"])
     def test_unwritable_output_refused_before_work(self, capsys, tmp_path, monkeypatch,
-                                                   argv, module, stage):
+                                                   argv, module, stage, target):
         def work(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
 
         monkeypatch.setattr(module, stage, work)
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing_dir" / "x"))
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
         assert code == 1 and out == ""
         assert err.startswith("usage error: cannot write output") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,want", [
+        (("sample", "--count", "0"), 2),
+        (("sample", "--count", "1000000000"), 3),
+        (("fluct", "--count", "0", "--limit-count", "10"), 2),
+    ], ids=["sample-count", "sample-paths", "fluct-count"])
+    def test_count_refused_before_table(self, capsys, tmp_path, monkeypatch, argv, want):
+        # a count below 1 exits 2, and path storage over the cap exits 3,
+        # before the partition table is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built the table before checking the count")
+
+        monkeypatch.setattr(two_line_sampler, "build_partition_table", forbidden)
+        monkeypatch.setattr(fluctuations, "build_partition_table", forbidden)
+        command, *sizes = argv
+        code, out, err = run(capsys, command, "--n", "16", "--u", "0", "--v", "0", *sizes,
+                             "--seed", "1", "--out", str(tmp_path / "out"))
+        assert code == want and out == ""
+        prefix = "domain error:" if want == 2 else "resource error:"
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,profile", [
         (("ldp", "density", "--r", "nan", "--a", "0.5", "--b", "0.8"), None),
@@ -330,8 +355,7 @@ class TestFluct:
         w1[:4, 0] = [0.0, -0.0, 0.0, -0.0]
         w_minus = rng.integers(0, 30, size=(500, 3)) / math.sqrt(200)
         w_minus[7, 2] = -0.0
-        scaled = fluctuations.ScaledSample(mesh=mesh, w1=w1, w_plus=w1 - w_minus,
-                                           w_minus=w_minus)
+        scaled = fluctuations.ScaledSample(w1=w1, w_plus=w1 - w_minus, w_minus=w_minus)
         omega = rng.normal(size=(300, 3))
         omega[0] = [-0.0, 1e-300, 1e300]
         weights = rng.exponential(size=300)

@@ -230,11 +230,11 @@ PUBLIC_NAMES = {
                      "stationary_weights_matrix", "stationary_weights_recursive",
                      "tle_enumerate", "two_line_weight", "verify_marginal_identity"),
     "fluctuations": ("LimitEnsemble", "ScalingConfig", "compare_distributions",
-                     "sample_scaled_height", "sample_scaled_processes",
-                     "simulate_limit_exact", "simulate_limit_process"),
+                     "sample_scaled_processes", "simulate_limit_exact",
+                     "simulate_limit_process"),
     "ldp": ("Profile", "MonotoneStep", "J_star", "J_upper", "convex_envelope",
             "fan_K_variational", "finite_n_ldp_check", "optimal_G", "rate_density",
-            "rate_density_variational", "rate_height_closed", "rate_height_report",
+            "rate_density_variational", "rate_height_report",
             "rate_height_variational", "rate_two_line", "shock_K_variational",
             "sup_over_G"),
     "markov_oracle": ("build_generator", "kmc_sample", "solve_stationary"),

@@ -11,7 +11,6 @@ from opentasep import (
     ResourceLimitError,
     ScalingConfig,
     compare_distributions,
-    sample_scaled_height,
     sample_scaled_processes,
     simulate_limit_exact,
     simulate_limit_process,
@@ -79,7 +78,7 @@ class TestScaledSampling:
     def test_exact_binomial_variance(self):
         # (2 H(N) - N)/sqrt(N) has variance exactly 1 for every N at u=v=0
         cfg = ScalingConfig(0.0, 0.0, 64)
-        w1 = sample_scaled_height(cfg, 100_000, seed=11)
+        w1 = sample_scaled_processes(cfg, 100_000, seed=11).w1
         end = w1[:, -1]
         var = end.var(ddof=1)
         m4 = np.mean((end - end.mean()) ** 4)
@@ -93,7 +92,7 @@ class TestScaledSampling:
         means = []
         for u in (-2.0, 0.0, 2.0):
             cfg = ScalingConfig(u, 0.0, 400)
-            w1 = sample_scaled_height(cfg, 20_000, seed=3)
+            w1 = sample_scaled_processes(cfg, 20_000, seed=3).w1
             means.append(float(w1[:, -1].mean()))
         assert means[0] < means[1] < means[2]
 
@@ -245,6 +244,11 @@ class TestDistances:
         rep = compare_distributions([0.0, 1.0], [0.0, 1.0], weights_b=[1.0, 3.0])
         assert rep.ks == pytest.approx(0.25)
         assert rep.w1 == pytest.approx(0.25)
+
+    def test_unweighted_is_unit_weights(self):
+        rng = stream(4, 0)
+        a, b = rng.normal(size=300), rng.normal(size=200)
+        assert compare_distributions(a, b) == compare_distributions(a, b, np.ones(len(b)))
 
     def test_weighted_equals_replicated(self):
         rng = stream(3, 0)

@@ -19,7 +19,6 @@ from opentasep import (
     phase_info,
     rate_density,
     rate_density_variational,
-    rate_height_closed,
     rate_height_report,
     rate_height_variational,
     rate_two_line,
@@ -52,7 +51,7 @@ class TestProfile:
     def test_inadmissible_slopes_flagged_not_rejected(self):
         f = Profile((0.0, 0.5, 1.0), (0.0, 0.75, 0.75))
         assert not f.admissible
-        assert rate_height_closed(f, 1.0, 1.0) == math.inf
+        assert rate_height_report(f, 1.0, 1.0).rate == math.inf
 
     def test_at_and_mesh_equal_numpy(self):
         # ldp computes on Python floats; its interpolation and mesh must give
@@ -253,18 +252,18 @@ class TestHeightRateClosed:
     def test_zero_at_lln_profiles(self):
         for a, b in [(0.5, 0.5), (2.0, 1.0), (3.0, 3.0)]:
             rho = phase_info(a, b).rho_bar
-            assert rate_height_closed(Profile.linear(rho), a, b) == pytest.approx(
+            assert rate_height_report(Profile.linear(rho), a, b).rate == pytest.approx(
                 0.0, abs=1e-12
             )
 
     def test_full_profile_at_triple_point(self):
-        assert rate_height_closed(Profile.linear(1.0), 1.0, 1.0) == pytest.approx(
+        assert rate_height_report(Profile.linear(1.0), 1.0, 1.0).rate == pytest.approx(
             math.log(2), rel=1e-14
         )
 
     def test_linear_profiles_match_density_rate_at_triple_point(self):
         for r in (0.1, 0.3, 0.5, 0.8):
-            assert rate_height_closed(Profile.linear(r), 1.0, 1.0) == pytest.approx(
+            assert rate_height_report(Profile.linear(r), 1.0, 1.0).rate == pytest.approx(
                 relative_entropy(r, 0.5), rel=1e-12, abs=1e-14
             )
 
@@ -298,7 +297,7 @@ class TestHeightRateClosed:
         for a, b in [(0.5, 0.8), (2.0, 1.5), (1.0, 1.0)]:
             for _ in range(20):
                 f = random_profile(rng, 7)
-                assert rate_height_closed(f, a, b) >= -1e-10
+                assert rate_height_report(f, a, b).rate >= -1e-10
 
 
 class TestSupOverG:
@@ -437,7 +436,7 @@ class TestHeightRateVariational:
     def test_fan_kinked_profile(self):
         f = Profile((0.0, 0.5, 1.0), (0.0, 0.5, 0.5))
         res = rate_height_variational(f, 0.5, 0.5)
-        closed = rate_height_closed(f, 0.5, 0.5)
+        closed = rate_height_report(f, 0.5, 0.5).rate
         assert abs(res.rate - closed) <= 1e-3
         assert res.gap <= 1e-9
 
@@ -463,7 +462,7 @@ class TestHeightRateVariational:
             for _ in range(3):
                 f = random_profile(rng, int(rng.integers(3, 8)), mesh=997)
                 res = rate_height_variational(f, a, b, mesh=60)
-                assert abs(res.rate - rate_height_closed(f, a, b)) <= 1e-8
+                assert abs(res.rate - rate_height_report(f, a, b).rate) <= 1e-8
                 assert res.gap <= 1e-9
 
     def test_independent_of_closed_form(self, monkeypatch):
@@ -473,7 +472,7 @@ class TestHeightRateVariational:
             raise AssertionError("the variational solve used a closed-form helper")
 
         f = Profile((0.0, 0.3, 0.7, 1.0), (0.0, 0.25, 0.3, 0.6))
-        expected = {ab: rate_height_closed(f, *ab) for ab in [(0.5, 0.8), (2.0, 1.5)]}
+        expected = {ab: rate_height_report(f, *ab).rate for ab in [(0.5, 0.8), (2.0, 1.5)]}
         for name in ("optimal_G", "convex_envelope", "rate_height_report"):
             monkeypatch.setattr(ldp, name, forbidden)
         for (a, b), closed in expected.items():
@@ -537,7 +536,6 @@ class TestNonFiniteInputs:
             "optimal_G": lambda: optimal_G(convex_envelope(f), a, b),
             "J_upper": lambda: J_upper(f, f, a, b),
             "rate_height_report": lambda: rate_height_report(f, a, b),
-            "rate_height_closed": lambda: rate_height_closed(f, a, b),
             "rate_height_variational": lambda: rate_height_variational(f, a, b),
             "sup_over_G": lambda: sup_over_G(f, a, b),
             "rate_density": lambda: rate_density(0.5, a, b),

@@ -47,6 +47,8 @@ CASES = {
     "ldp-rate": (["ldp", "rate", "--variational", "--profile", FAN_PROFILE,
                   "--a", "0.5", "--b", "0.8"],
                  {"ldp.rate_height_report", "ldp.rate_height_variational"}),
+    # the density rates come from core, which the tracer does not wrap
+    "ldp-density": (["ldp", "density", "--r", "0.3", "--a", "2", "--b", "1.5"], set()),
 }
 
 

@@ -50,7 +50,7 @@ def log_value(rows, a, j, d, m):
 
 
 def joint_counts(paths, n):
-    d1, d2 = paths.increments()
+    d1, d2 = paths.inc1, paths.inc2
     powers = 1 << np.arange(n, dtype=np.int64)
     idx = (d1 @ powers) * (1 << n) + d2 @ powers
     return np.bincount(idx, minlength=4**n).astype(float)
@@ -226,7 +226,7 @@ class TestSampler:
         law = sampler_path_law(t).sum(axis=1)
         assert 0.5 * np.abs(law - pi).sum() <= 3e-3
         paths = sample_two_line(t, draws, seed=7)
-        d1, _ = paths.increments()
+        d1 = paths.inc1
         idx = d1 @ (1 << np.arange(n, dtype=np.int64))
         emp = np.bincount(idx, minlength=1 << n).astype(float)
         emp /= emp.sum()
@@ -237,7 +237,7 @@ class TestSampler:
         # weight identically 1: s1 increments are i.i.d. fair coins
         t = build_partition_table(8, 1.0, 1.0)
         paths = sample_two_line(t, 10**6, seed=13)
-        d1, _ = paths.increments()
+        d1 = paths.inc1
         counts = np.bincount(d1.ravel(), minlength=2).astype(float)
         total = counts.sum()
         chi2 = float(((counts - total / 2) ** 2 / (total / 2)).sum())
@@ -391,7 +391,7 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "s1_1,s1_2,s1_3,s2_1,s2_2,s2_3"
         assert len(lines) == 5
-        d1, d2 = paths.increments()
+        d1, d2 = paths.inc1, paths.inc2
         first = [int(x) for x in lines[1].split(",")]
         assert first == list(d1[0]) + list(d2[0])
 
@@ -405,7 +405,7 @@ class TestSerialization:
                                 threads=threads)
         path = tmp_path / "samples.csv"
         paths.write_csv(path)
-        d1, d2 = paths.increments()
+        d1, d2 = paths.inc1, paths.inc2
         header = [f"s1_{j}" for j in range(1, n + 1)] + [f"s2_{j}" for j in range(1, n + 1)]
         rows = [",".join(map(str, d1[i].tolist() + d2[i].tolist())) for i in range(count)]
         assert path.read_bytes() == "\n".join([",".join(header)] + rows + [""]).encode()
@@ -419,7 +419,7 @@ class TestSerialization:
         assert int.from_bytes(raw[:4], "little") == 9
         per_line = (9 + 7) // 8
         assert len(raw) == 4 + 3 * 2 * per_line
-        d1, d2 = paths.increments()
+        d1, d2 = paths.inc1, paths.inc2
         offset = 4
         for i in range(3):
             bits1 = int.from_bytes(raw[offset : offset + per_line], "little")
