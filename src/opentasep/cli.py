@@ -374,13 +374,15 @@ def _write_fluct_csvs(files: dict, mesh, scaled, ens) -> None:
 
 def cmd_fluct(args) -> int:
     from . import fluctuations
+    from .two_line_sampler import check_functionals_bytes
 
     _require(args, ["n", "u", "v", "count", "seed"])
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
-    os.makedirs(args.out, exist_ok=True)
-    # refuse a bad or oversized limit ensemble before the sampling starts
+    # refuse bad or oversized requests before --out is made or sampling starts
+    check_functionals_bytes(args.count, len(cfg.mesh))
     fluctuations.check_limit_request(args.u, args.v, limit_count, cfg.mesh)
+    os.makedirs(args.out, exist_ok=True)
     scaled = fluctuations.sample_scaled_processes(cfg, args.count, args.seed,
                                                   threads=args.threads)
     ens = fluctuations.simulate_limit_exact(args.u, args.v, limit_count, args.seed + 1,

@@ -6,7 +6,7 @@ Routes:
     three reduction rules (leading 0 strips a factor 1+a, trailing 1 strips
     1+b, a "10" factor splits into the two merged-site configurations);
   * matrix product <W| prod_j (tau_j D + (1-tau_j) E) |V> with bidiagonal
-    D, E whose coupling entry sqrt(1-ab) turns imaginary for ab > 1;
+    D, E coupled through the real entry E[1,0] = 1-ab;
   * brute-force pair sum f_N(tau) = sum over second walks xi of the pair
     weight b^(s1(N)-s2(N)) (ab)^(-min_j (s1(j)-s2(j))).
 
@@ -20,8 +20,6 @@ with s_0 = 0, so the same index identifies that height path.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -39,10 +37,6 @@ from . import textio
 
 ENUMERATION_CAP = 16       # 2^N single-line configurations
 PAIR_ENUMERATION_CAP = 12  # 4^N path pairs
-
-# |imag| <= IMAG_REL * |real| + IMAG_ABS for every matrix-product weight
-IMAG_REL = 1e-9
-IMAG_ABS = 1e-12
 
 
 def config_index(tau) -> int:
@@ -169,21 +163,19 @@ def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTab
 
 def _matrices(n: int, a: float, b: float):
     """(n+1)-truncated bidiagonal matrices; exact because a length-n product
-    applied to <W| never leaves the first n+1 basis states."""
-    if a * b > 1.0:
-        s = cmath.sqrt(1.0 - a * b)
-        dtype = complex
-    else:
-        s = math.sqrt(1.0 - a * b)
-        dtype = float
+    applied to <W| never leaves the first n+1 basis states.
+
+    The textbook coupling sqrt(1-ab) on D[0,1] and E[1,0] enters every weight
+    only squared; conjugating by diag(1, s, ..., s) moves it onto
+    E[1,0] = 1-ab and fixes <W| and |V>."""
     dim = n + 1
-    d = np.zeros((dim, dim), dtype=dtype)
-    e = np.zeros((dim, dim), dtype=dtype)
+    d = np.zeros((dim, dim))
+    e = np.zeros((dim, dim))
     d[0, 0] = 1.0 + b
     e[0, 0] = 1.0 + a
     if dim > 1:
-        d[0, 1] = s
-        e[1, 0] = s
+        d[0, 1] = 1.0
+        e[1, 0] = 1.0 - a * b
     for i in range(1, dim):
         d[i, i] = 1.0
         e[i, i] = 1.0
@@ -195,30 +187,17 @@ def _matrices(n: int, a: float, b: float):
 
 
 def stationary_weights_matrix(n: int, a: float, b: float) -> WeightTable:
-    """Matrix-product weights <W| prod (tau_j D + (1-tau_j) E) |V>.
-
-    Uses complex arithmetic when ab > 1 and returns the real parts after
-    asserting the imaginary residue is negligible.
-    """
+    """Matrix-product weights <W| prod (tau_j D + (1-tau_j) E) |V>."""
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
     a, b = float(a), float(b)
     d, e = _matrices(n, a, b)
-    vecs = np.zeros((1, n + 1), dtype=d.dtype)
+    vecs = np.zeros((1, n + 1))
     vecs[0, 0] = 1.0
     for _ in range(n):
         # new configuration index = old index + 2^j * tau_{j+1}
         vecs = np.concatenate([vecs @ e, vecs @ d])
     vals = vecs[:, 0]
-    if np.iscomplexobj(vals):
-        bad = np.abs(vals.imag) > IMAG_REL * np.abs(vals.real) + IMAG_ABS
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NumericConsistencyError(
-                f"matrix-product weight has imaginary residue {vals.imag[i]:g} "
-                f"against real part {vals.real[i]:g} at configuration {i}"
-            )
-        vals = vals.real.copy()
     if not (vals > 0).all():
         raise NumericConsistencyError("matrix-product route produced a nonpositive weight")
     return WeightTable(n_sites=n, a=a, b=b, weights=vals, z=vals.sum())

@@ -94,8 +94,6 @@ class LimitEnsemble:
     for an exact ensemble (simulate_limit_exact).
     """
 
-    u: float
-    v: float
     n_steps: int
     mesh: tuple[float, ...]
     omega_mesh: np.ndarray
@@ -160,7 +158,7 @@ def _weighted_ensemble(u: float, v: float, n_steps: int, mesh: tuple[float, ...]
         raise DomainError(f"the limit tilt at (u, v) = ({u!r}, {v!r}) is out of "
                           "floating-point range for the weights or their ESS")
     return LimitEnsemble(
-        u=u, v=v, n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
+        n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
         weights=weights, kappa_hat=float(weights.mean()), ess=ess,
         degenerate=ess < ESS_WARN_FRACTION * weights.size,
     )

@@ -75,7 +75,7 @@ def test_criterion_3_matrix_route():
     for a, b in GRID + [(2.0, 2.0), (4.0, 0.4)]:
         for n in range(1, 9):
             rec = ot.stationary_weights_recursive(n, a, b)
-            mat = ot.stationary_weights_matrix(n, a, b)  # raises beyond 1e-9 imag
+            mat = ot.stationary_weights_matrix(n, a, b)  # raises on a nonpositive weight
             worst = max(worst, float(np.max(np.abs(mat.weights - rec.weights)
                                             / rec.weights)))
     passed = worst <= 1e-10

@@ -167,6 +167,16 @@ class TestExitCodes:
         prefix = "domain error:" if want == 2 else "resource error:"
         assert err.startswith(prefix) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sizes", [
+        ("--count", "0", "--limit-count", "10"),
+        ("--count", "10", "--limit-count", "0"),
+    ], ids=["count", "limit-count"])
+    def test_fluct_refusal_leaves_no_out_dir(self, capsys, tmp_path, sizes):
+        code, out, _ = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0", *sizes,
+                           "--seed", "1", "--out", str(tmp_path / "new"))
+        assert code == 2 and out == ""
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("argv,profile", [
         (("ldp", "density", "--r", "nan", "--a", "0.5", "--b", "0.8"), None),
         (("ldp", "check", "--n", "10", "--r", "nan", "--a", "1", "--b", "1"), None),
@@ -359,9 +369,9 @@ class TestFluct:
         omega = rng.normal(size=(300, 3))
         omega[0] = [-0.0, 1e-300, 1e300]
         weights = rng.exponential(size=300)
-        ens = fluctuations.LimitEnsemble(u=0.0, v=0.0, n_steps=100, mesh=mesh,
-                                         omega_mesh=omega, weights=weights,
-                                         kappa_hat=1.0, ess=300.0, degenerate=False)
+        ens = fluctuations.LimitEnsemble(n_steps=100, mesh=mesh, omega_mesh=omega,
+                                         weights=weights, kappa_hat=1.0, ess=300.0,
+                                         degenerate=False)
         files = {key: str(tmp_path / f"{key}.csv")
                  for key in ("tle_w1", "tle_wminus", "limit")}
         cli._write_fluct_csvs(files, mesh, scaled, ens)

@@ -98,6 +98,12 @@ class TestMatrixRoute:
         rec = stationary_weights_recursive(4, 2.0, 1.0)
         assert np.max(np.abs(t.weights - rec.weights) / rec.weights) <= 1e-12
 
+    @pytest.mark.parametrize("a,b,n", [(10.0, 10.0, 16), (30.0, 30.0, 12)])
+    def test_shock_half_accuracy(self, a, b, n):
+        rec = stationary_weights_recursive(n, a, b)
+        mat = stationary_weights_matrix(n, a, b)
+        assert np.max(np.abs(mat.weights - rec.weights) / rec.weights) <= 1e-12
+
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0)])
     def test_route_equality(self, a, b):
         for n in range(1, 9):

@@ -44,6 +44,10 @@ CASES = {
                {"exact_engine.stationary_weights_recursive", "exact_engine.tle_enumerate",
                 "exact_engine.stationary_weights_matrix", "markov_oracle.build_generator",
                 "markov_oracle.solve_stationary"}),
+    "stationary": (["stationary", "--n", "6", "--a", "2", "--b", "1", "--out", "st"],
+                   {"exact_engine.stationary_weights_recursive",
+                    "exact_engine.stationary_weights_matrix", "markov_oracle.build_generator",
+                    "markov_oracle.solve_stationary"}),
     "ldp-rate": (["ldp", "rate", "--variational", "--profile", FAN_PROFILE,
                   "--a", "0.5", "--b", "0.8"],
                  {"ldp.rate_height_report", "ldp.rate_height_variational"}),
