@@ -55,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_param_options(p: _Parser) -> None:
-    p.add_argument("--n", type=int, default=None, help="system size")
+def _add_param_options(p: _Parser, need_n: bool = False) -> None:
+    p.add_argument("--n", type=int, required=need_n, help="system size")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
@@ -94,45 +94,50 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="opentasep", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=os.environ.get("TASEP_THREADS", "1"),
                         help="worker cap for sample-parallel commands "
                              "(default: TASEP_THREADS or 1)")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("phase", help="phase-diagram classification")
+    p.set_defaults(handler=cmd_phase)
     _add_param_options(p)
 
     p = sub.add_parser("stationary", help="exact stationary table and oracles")
-    _add_param_options(p)
+    p.set_defaults(handler=cmd_stationary)
+    _add_param_options(p, need_n=True)
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("verify", help="cross-route verification suite")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--out", default="verify_report.json")
 
     p = sub.add_parser("sample", help="exact pair-ensemble samples")
-    _add_param_options(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(handler=cmd_sample)
+    _add_param_options(p, need_n=True)
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="samples.csv")
     p.add_argument("--binary", action="store_true",
                    help="write the compact binary stream instead of CSV")
 
     p = sub.add_parser("fluct", help="scaling-window fluctuation experiment")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.set_defaults(handler=cmd_fluct)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--v", type=float, required=True)
+    p.add_argument("--count", type=int, required=True)
     p.add_argument("--limit-count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("ldp", help="rate-function calculators")
-    lsub = p.add_subparsers(dest="ldp_command")
+    lsub = p.add_subparsers(required=True)
 
     pr = lsub.add_parser("rate", help="height-profile rate function")
-    pr.add_argument("--profile", required=False, default=None,
-                    help="CSV of (x, f(x)) knot pairs")
+    pr.set_defaults(handler=cmd_ldp_rate)
+    pr.add_argument("--profile", required=True, help="CSV of (x, f(x)) knot pairs")
     _add_param_options(pr)
     pr.add_argument("--variational", action="store_true",
                     help="also run the mesh minimization")
@@ -141,13 +146,15 @@ def build_parser() -> _Parser:
     pr.add_argument("--out", default=None, help="optional JSON output path")
 
     pd = lsub.add_parser("density", help="mean-density rate function")
-    pd.add_argument("--r", type=float, required=False, default=None)
+    pd.set_defaults(handler=cmd_ldp_density)
+    pd.add_argument("--r", type=float, required=True)
     _add_param_options(pd)
     pd.add_argument("--out", default=None)
 
     pc = lsub.add_parser("check", help="finite-size density-rate check")
-    pc.add_argument("--r", type=float, required=False, default=None)
-    _add_param_options(pc)
+    pc.set_defaults(handler=cmd_ldp_check)
+    pc.add_argument("--r", type=float, required=True)
+    _add_param_options(pc, need_n=True)
     pc.add_argument("--out", default=None)
 
     return parser
@@ -156,27 +163,17 @@ def build_parser() -> _Parser:
 GLOBAL_VALUE_OPTIONS = ("--config", "--threads")
 
 
-def _split_config(argv: list[str]) -> tuple[str | None, list[str]]:
-    """The config path, if any, and argv without its --config option."""
-    for j, tok in enumerate(argv):
-        if tok == "--config":
-            if j + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            return argv[j + 1], argv[:j] + argv[j + 2:]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1], argv[:j] + argv[j + 1:]
-    return None, argv
-
-
 def _apply_config(argv: list[str]) -> list[str]:
     """Consume --config wherever it stands and insert the file's entries as
     flags ahead of the explicit ones, so explicit flags (parsed later) win:
     global options go first, the others right after the command tokens."""
-    path, out = _split_config(argv)
-    if path is None:
+    finder = _Parser(add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    known, out = finder.parse_known_args(argv)
+    if known.config is None:
         return argv
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(known.config, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
@@ -208,12 +205,6 @@ def _apply_config(argv: list[str]) -> list[str]:
     if out[j] == "ldp" and pos < len(out) and not out[pos].startswith("-"):
         pos += 1
     return global_flags + out[:pos] + flags + out[pos:]
-
-
-def _require(args, names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise UsageError(f"--{name} is required")
 
 
 def _check_writable(path) -> None:
@@ -266,10 +257,12 @@ def _route_errors(n: int, params, rec) -> tuple[float, float | None]:
 def cmd_stationary(args) -> int:
     from . import exact_engine
 
-    _require(args, ["n"])
     params = _resolve_params(args)
     table = exact_engine.stationary_weights_recursive(args.n, params.a, params.b)
     mat_err, gen_err = _route_errors(args.n, params, table)
+    if mat_err > TOLERANCES["matrix"]:
+        print(f"warning: matrix-product route relative error {mat_err:.3g} above "
+              f"verify's tolerance {TOLERANCES['matrix']:g}", file=sys.stderr)
     # written only once every route has run, so a refused rate leaves no file
     os.makedirs(args.out, exist_ok=True)
     weights_path = os.path.join(args.out, "weights.csv")
@@ -321,7 +314,6 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     from . import two_line_sampler
 
-    _require(args, ["n", "count", "seed"])
     params = _resolve_params(args)
     _check_writable(args.out)
     # refuse a bad count or oversized path storage before the table is built
@@ -376,7 +368,6 @@ def cmd_fluct(args) -> int:
     from . import fluctuations
     from .two_line_sampler import check_functionals_bytes
 
-    _require(args, ["n", "u", "v", "count", "seed"])
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
     # refuse bad or oversized requests before --out is made or sampling starts
@@ -438,59 +429,58 @@ def _load_profile(path: str):
     return Profile(tuple(xs), tuple(ys))
 
 
-def cmd_ldp(args) -> int:
-    if args.ldp_command == "rate":
-        from . import ldp
+def cmd_ldp_rate(args) -> int:
+    from . import ldp
 
-        _require(args, ["profile"])
-        params = _resolve_params(args)
-        f = _load_profile(args.profile)
-        if not f.admissible:  # its rate is +inf, which JSON cannot carry
-            x0, x1, s = next((x0, x1, s) for x0, x1, s in zip(f.knots, f.knots[1:], f.slopes)
-                             if not ldp.Profile.linear(s).admissible)
-            raise DomainError(f"profile slope {s:.6g} on [{x0!r}, {x1!r}] lies outside [0, 1]")
-        report = ldp.rate_height_report(f, params.a, params.b)
-        info = phase_info(params.a, params.b)
-        payload = {
-            "profile_knots": list(zip(f.knots, f.values)),
-            "a": params.a, "b": params.b,
-            "region": report.region, "phase": info.region,
-            "rate": report.rate,
-            "K": normalization_K(params.a, params.b),
-            "diagnostics": {"y_star": report.y_star,
-                            "x1": report.x1, "x2": report.x2},
-        }
-        if args.variational:
-            var = ldp.rate_height_variational(f, params.a, params.b, mesh=args.mesh)
-            payload["variational"] = {"rate": var.rate, "gap": var.gap}
-        _emit(payload, args.out)
-        return EXIT_OK
-    if args.ldp_command == "density":
-        _require(args, ["r"])
-        params = _resolve_params(args)
-        payload = {
-            "r": args.r, "a": params.a, "b": params.b,
-            "rate": rate_density(args.r, params.a, params.b),
-            "variational_rate": rate_density_variational(args.r, params.a, params.b),
-            "K": normalization_K(params.a, params.b),
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    if args.ldp_command == "check":
-        from . import ldp
+    params = _resolve_params(args)
+    f = _load_profile(args.profile)
+    if not f.admissible:  # its rate is +inf, which JSON cannot carry
+        x0, x1, s = next((x0, x1, s) for x0, x1, s in zip(f.knots, f.knots[1:], f.slopes)
+                         if not ldp.Profile.linear(s).admissible)
+        raise DomainError(f"profile slope {s:.6g} on [{x0!r}, {x1!r}] lies outside [0, 1]")
+    report = ldp.rate_height_report(f, params.a, params.b)
+    info = phase_info(params.a, params.b)
+    payload = {
+        "profile_knots": list(zip(f.knots, f.values)),
+        "a": params.a, "b": params.b,
+        "region": report.region, "phase": info.region,
+        "rate": report.rate,
+        "K": normalization_K(params.a, params.b),
+        "diagnostics": {"y_star": report.y_star,
+                        "x1": report.x1, "x2": report.x2},
+    }
+    if args.variational:
+        var = ldp.rate_height_variational(f, params.a, params.b, mesh=args.mesh)
+        payload["variational"] = {"rate": var.rate, "gap": var.gap}
+    _emit(payload, args.out)
+    return EXIT_OK
 
-        _require(args, ["n", "r"])
-        params = _resolve_params(args)
-        chk = ldp.finite_n_ldp_check(args.n, params.a, params.b, args.r)
-        payload = {
-            "n": chk.n, "r": chk.r, "a": params.a, "b": params.b,
-            "empirical_rate": chk.empirical_rate,
-            "closed_rate": chk.closed_rate,
-            "gap": chk.gap,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    raise UsageError("ldp needs a subcommand: rate, density, or check")
+
+def cmd_ldp_density(args) -> int:
+    params = _resolve_params(args)
+    payload = {
+        "r": args.r, "a": params.a, "b": params.b,
+        "rate": rate_density(args.r, params.a, params.b),
+        "variational_rate": rate_density_variational(args.r, params.a, params.b),
+        "K": normalization_K(params.a, params.b),
+    }
+    _emit(payload, args.out)
+    return EXIT_OK
+
+
+def cmd_ldp_check(args) -> int:
+    from . import ldp
+
+    params = _resolve_params(args)
+    chk = ldp.finite_n_ldp_check(args.n, params.a, params.b, args.r)
+    payload = {
+        "n": chk.n, "r": chk.r, "a": params.a, "b": params.b,
+        "empirical_rate": chk.empirical_rate,
+        "closed_rate": chk.closed_rate,
+        "gap": chk.gap,
+    }
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -500,25 +490,12 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a command is required")
-        if args.threads is None:
-            args.threads = int(os.environ.get("TASEP_THREADS", "1"))
+        args = parser.parse_args(_apply_config(argv))
         if args.threads < 1:
             raise UsageError("--threads must be >= 1")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be >= 0")
-        handler = {
-            "phase": cmd_phase,
-            "stationary": cmd_stationary,
-            "verify": cmd_verify,
-            "sample": cmd_sample,
-            "fluct": cmd_fluct,
-            "ldp": cmd_ldp,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

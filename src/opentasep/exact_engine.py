@@ -197,7 +197,7 @@ def stationary_weights_matrix(n: int, a: float, b: float) -> WeightTable:
     for _ in range(n):
         # new configuration index = old index + 2^j * tau_{j+1}
         vecs = np.concatenate([vecs @ e, vecs @ d])
-    vals = vecs[:, 0]
+    vals = vecs[:, 0].copy()  # a view would keep every column alive
     if not (vals > 0).all():
         raise NumericConsistencyError("matrix-product route produced a nonpositive weight")
     return WeightTable(n_sites=n, a=a, b=b, weights=vals, z=vals.sum())

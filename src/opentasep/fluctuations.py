@@ -192,18 +192,10 @@ def simulate_limit_exact(u: float, v: float, count: int, seed: int,
     return _weighted_ensemble(u, v, 0, mesh, omega_mesh, path_min)
 
 
-def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
-                           seed: int,
-                           mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
-    """Importance-sample the tilted Brownian component on an n_steps grid.
-
-    Reference paths are variance-1/2 Brownian (Gaussian increments of
-    variance 1/(2 n_steps)); the raw weight of a path is
-    exp((u+v) * grid-min - v * endpoint).
-    """
-    if n_steps < 100:
-        raise DomainError("n_steps must be >= 100")
-    mesh = check_limit_request(u, v, count, mesh, n_steps)
+def _grid_walk(n_steps: int, count: int, seed: int,
+               mesh: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Values at the mesh points and grid minima of count variance-1/2
+    Brownian paths on an n_steps grid; block i of paths uses stream (seed, i)."""
     cols = [int(round(x * n_steps)) for x in mesh]
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
     omega_mesh = np.empty((count, len(mesh)))
@@ -223,6 +215,22 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
             omega_mesh[done : done + size, i] = 0.0 if c == 0 else paths[:, c - 1]
         done += size
         block_idx += 1
+    return omega_mesh, grid_min
+
+
+def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
+                           seed: int,
+                           mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
+    """Importance-sample the tilted Brownian component on an n_steps grid.
+
+    Reference paths are variance-1/2 Brownian (Gaussian increments of
+    variance 1/(2 n_steps)); the raw weight of a path is
+    exp((u+v) * grid-min - v * endpoint).
+    """
+    if n_steps < 100:
+        raise DomainError("n_steps must be >= 100")
+    mesh = check_limit_request(u, v, count, mesh, n_steps)
+    omega_mesh, grid_min = _grid_walk(n_steps, count, seed, mesh)
     return _weighted_ensemble(u, v, n_steps, mesh, omega_mesh, grid_min)
 
 

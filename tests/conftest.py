@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import opentasep as ot
+from opentasep import fluctuations
 from opentasep.rng import stream
 
 # (criterion label, passed, detail, elapsed seconds), filled by test_acceptance
@@ -121,7 +122,9 @@ def triple_point_runs():
     `scaled(u, v)` is 1e5 scaled samples at seed 7, `limit(u, v, n_steps)` is
     2e5 limit paths at seed 101.  C6 and `TestFullProcessMatch` share the
     (1, 1) and (-1, -1) draws.  The scaled draws run on two threads; the
-    sampler's output does not depend on the thread count."""
+    sampler's output does not depend on the thread count.  The paths do not
+    depend on (u, v), so each grid is walked once and only the tilt weights
+    are computed per (u, v); the result equals `simulate_limit_process`'s."""
 
     @functools.cache
     def scaled(u, v):
@@ -129,7 +132,12 @@ def triple_point_runs():
                                           threads=2)
 
     @functools.cache
+    def walk(n_steps):
+        return fluctuations._grid_walk(n_steps, 2 * 10**5, 101, fluctuations.DEFAULT_MESH)
+
+    @functools.cache
     def limit(u, v, n_steps):
-        return ot.simulate_limit_process(u, v, n_steps, 2 * 10**5, seed=101)
+        return fluctuations._weighted_ensemble(u, v, n_steps, fluctuations.DEFAULT_MESH,
+                                               *walk(n_steps))
 
     return SimpleNamespace(scaled=scaled, limit=limit)

@@ -228,6 +228,18 @@ class TestExitCodes:
         assert "(-500.0, -500.0)" in err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("threads_env,argv", [
+        ("abc", ("phase", "--a", "1", "--b", "1")),
+        (None, ("ldp",)),
+        (None, ("phase", "--a", "1", "--b", "1", "--config")),
+    ], ids=["bad-threads-env", "ldp-without-subcommand", "config-without-path"])
+    def test_parser_usage_errors(self, capsys, monkeypatch, threads_env, argv):
+        if threads_env is not None:
+            monkeypatch.setenv("TASEP_THREADS", threads_env)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:")
+
     def test_fluct_has_no_n_steps(self, capsys, tmp_path):
         # fluct draws its limit ensemble exactly, so there is no grid to set
         code, out, err = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0",
@@ -256,6 +268,17 @@ class TestStationary:
         lines = (tmp_path / "weights.csv").read_text().splitlines()
         rows = {l.split(",")[0]: float(l.split(",")[-1]) for l in lines[1:]}
         assert rows["1"] == pytest.approx(2 / 5)
+
+    def test_matrix_route_warning(self, capsys, tmp_path):
+        # 1 - ab cancels deep in the shock half; the run still succeeds
+        code, out, err = run(capsys, "stationary", "--n", "14", "--a", "100", "--b", "100",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["matrix_route_max_rel_error"] > cli.TOLERANCES["matrix"]
+        assert err.startswith("warning: matrix-product route") and err.count("\n") == 1
+        code, _, err = run(capsys, "stationary", "--n", "6", "--a", "2", "--b", "1",
+                           "--out", str(tmp_path))
+        assert code == 0 and err == ""
 
     def test_refused_rate_writes_nothing(self, capsys, tmp_path):
         # alpha = 1/(1+1e-17) rounds to 1, which the generator refuses only
@@ -525,6 +548,15 @@ class TestConfigFile:
         assert run(capsys, "--config", str(cfg), *argv)[0] == 0
         assert run(capsys, "--threads", "1", "--config", str(cfg), *argv)[0] == 0
         assert seen == [2, 1]
+
+    def test_config_supplies_required_options(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = 5\nseed = 1\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "sample", "--n", "3", "--a", "1",
+                           "--b", "1", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["count"], payload["seed"]) == (5, 1)
 
     def test_config_after_command(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

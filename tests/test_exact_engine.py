@@ -104,6 +104,10 @@ class TestMatrixRoute:
         mat = stationary_weights_matrix(n, a, b)
         assert np.max(np.abs(mat.weights - rec.weights) / rec.weights) <= 1e-12
 
+    def test_weights_own_their_memory(self):
+        # a view of the last (2^N, N+1) product would keep all of it alive
+        assert stationary_weights_matrix(16, 2.0, 1.0).weights.base is None
+
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0)])
     def test_route_equality(self, a, b):
         for n in range(1, 9):
