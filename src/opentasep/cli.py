@@ -91,7 +91,7 @@ def _resolve_params(args):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="opentasep", description=__doc__)
+    parser = _Parser(prog="opentasep", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--threads", type=int, default=os.environ.get("TASEP_THREADS", "1"),

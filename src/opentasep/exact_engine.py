@@ -118,7 +118,14 @@ class TwoLineTable:
         return self.joint.sum(axis=1)
 
 
-def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTable:
+def _arithmetic(a, b):
+    """(a, b) as Fractions if either is one, for exact weights; else as floats."""
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return Fraction(a), Fraction(b)
+    return float(a), float(b)
+
+
+def stationary_weights_recursive(n: int, a, b) -> WeightTable:
     """Bottom-up tables p_1, ..., p_N via the canonical reduction dispatch.
 
     Dispatch: a leading 0 strips (1+a); else a trailing 1 strips (1+b); else
@@ -127,35 +134,25 @@ def stationary_weights_recursive(n: int, a, b, exact: bool = False) -> WeightTab
     is a theorem and is tested, not assumed.
 
     Plain doubles are exact enough below the cap (weights are bounded by
-    (1 + max(a,b))^N); `exact=True` switches to Fraction arithmetic for
-    rational (a, b).
+    (1 + max(a,b))^N); a Fraction a or b gives Fraction weights.
     """
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
-    if exact:
-        a, b = Fraction(a), Fraction(b)
-        one_a, one_b = 1 + a, 1 + b
-        prev = np.array([one_a, one_b], dtype=object)
-    else:
-        a, b = float(a), float(b)
-        one_a, one_b = 1.0 + a, 1.0 + b
-        prev = np.array([one_a, one_b])
+    a, b = _arithmetic(a, b)
+    one_a, one_b = 1 + a, 1 + b
+    prev = np.array([one_a, one_b], dtype=object if isinstance(a, Fraction) else float)
     for m in range(2, n + 1):
         cur = np.empty(1 << m, dtype=prev.dtype)
         top = 1 << (m - 1)
-        for i in range(1 << m):
-            if not i & 1:  # tau_1 = 0
-                cur[i] = one_a * prev[i >> 1]
-            elif i & top:  # tau_m = 1
-                cur[i] = one_b * prev[i & ~top]
-            else:
-                # leftmost "10": tau_p = 1, tau_{p+1} = 0
-                p = 1
-                while (i >> (p - 1)) & 3 != 1:
-                    p += 1
-                low = i & ((1 << (p - 1)) - 1)
-                rest = (i >> (p + 1)) << p
-                cur[i] = prev[low | rest | (1 << (p - 1))] + prev[low | rest]
+        cur[0::2] = one_a * prev  # tau_1 = 0
+        cur[top + 1::2] = one_b * prev[1::2]  # tau_1 = tau_m = 1
+        # the rest start with p ones (z = 2^p) and a 0: the leftmost "10", at
+        # sites p, p+1, merges into a 1 or a 0 at site p, below the sites
+        # p+2..m shifted down by one (rest)
+        i = np.arange(1, top, 2)
+        z = (i + 1) & ~i
+        rest = i // (2 * z) * z
+        cur[1:top:2] = prev[rest + z - 1] + prev[rest + z // 2 - 1]
         prev = cur
     z = prev.sum()
     return WeightTable(n_sites=n, a=a, b=b, weights=prev, z=z)
@@ -168,21 +165,11 @@ def _matrices(n: int, a: float, b: float):
     The textbook coupling sqrt(1-ab) on D[0,1] and E[1,0] enters every weight
     only squared; conjugating by diag(1, s, ..., s) moves it onto
     E[1,0] = 1-ab and fixes <W| and |V>."""
-    dim = n + 1
-    d = np.zeros((dim, dim))
-    e = np.zeros((dim, dim))
+    d = np.eye(n + 1) + np.eye(n + 1, k=1)
+    e = np.eye(n + 1) + np.eye(n + 1, k=-1)
     d[0, 0] = 1.0 + b
     e[0, 0] = 1.0 + a
-    if dim > 1:
-        d[0, 1] = 1.0
-        e[1, 0] = 1.0 - a * b
-    for i in range(1, dim):
-        d[i, i] = 1.0
-        e[i, i] = 1.0
-        if i + 1 < dim:
-            d[i, i + 1] = 1.0
-        if i >= 2:
-            e[i, i - 1] = 1.0
+    e[1, 0] = 1.0 - a * b
     return d, e
 
 
@@ -223,10 +210,10 @@ def two_line_weight(s1, s2, a, b):
     return b ** diff[-1] * (a * b) ** (-min(diff))
 
 
-def f_n_enumerate(tau, a, b, exact: bool = False):
+def f_n_enumerate(tau, a, b):
     """Sum of pair weights over every second walk; equals p_N(tau).
 
-    `exact=True` sums in Fraction arithmetic: the walks are grouped by their
+    A Fraction a or b gives an exact sum: the walks are grouped by their
     (d_N, min_j d_j), on which alone the pair weight depends, and each group
     adds count * b^(d_N) (ab)^(-min d).
     """
@@ -234,11 +221,11 @@ def f_n_enumerate(tau, a, b, exact: bool = False):
     n = len(bits)
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
+    a, b = _arithmetic(a, b)
     s1 = np.concatenate([[0], np.cumsum(bits)])
     heights = np.ascontiguousarray(all_height_paths(n).T)
-    if not exact:
-        return float(np.sum(_pair_weight_row(s1, heights, float(a), float(b))))
-    a, b = Fraction(a), Fraction(b)
+    if isinstance(a, float):
+        return float(np.sum(_pair_weight_row(s1, heights, a, b)))
     keys, counts = np.unique(np.stack(_end_and_min(s1, heights)), axis=1, return_counts=True)
     return sum((count * b ** d * (a * b) ** (-m)
                 for (d, m), count in zip(keys.T.tolist(), counts.tolist())), Fraction(0))

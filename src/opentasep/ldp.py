@@ -221,19 +221,7 @@ def rate_two_line(f1: Profile, f2: Profile, a: float, b: float) -> float:
     """Rate of the pair (f1, f2); zero exactly at the law-of-large-numbers
     pair (the second line concentrates at slope a/(1+a) in the LD phase,
     1/(1+b) in the HD phase, 1/2 at the triple point)."""
-    check_ab(a, b)
-    h1 = entropy_integral(f1)
-    h2 = entropy_integral(f2)
-    if math.isinf(h1) or math.isinf(h2):
-        return math.inf
-    dmin, _ = _min_difference(f1, f2)
-    return (
-        h1
-        + h2
-        + math.log(a * b) * dmin
-        - math.log(b) * (f1.endpoint() - f2.endpoint())
-        - normalization_K(a, b)
-    )
+    return entropy_integral(f1) + J_upper(f1, f2, a, b) - normalization_K(a, b)
 
 
 def convex_envelope(f: Profile) -> Profile:

@@ -9,6 +9,9 @@ neighbor hops (1,0) -> (0,1) at rate 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from .core import DomainError, NumericConsistencyError, check_rates, check_size
@@ -25,29 +28,19 @@ def build_generator(n: int, alpha: float, beta: float):
     check_size(n, GENERATOR_CAP)
     check_rates(alpha, beta)
     size = 1 << n
-    rows, cols, vals = [], [], []
+    idx = np.arange(size)
     top = 1 << (n - 1)
-    for i in range(size):
-        out_rate = 0.0
-        if not i & 1:
-            rows.append(i)
-            cols.append(i | 1)
-            vals.append(alpha)
-            out_rate += alpha
-        if i & top:
-            rows.append(i)
-            cols.append(i & ~top)
-            vals.append(beta)
-            out_rate += beta
-        for p in range(n - 1):
-            if (i >> p) & 3 == 1:  # sites p+1, p+2 hold (1, 0)
-                rows.append(i)
-                cols.append(i ^ (3 << p))
-                vals.append(1.0)
-                out_rate += 1.0
-        rows.append(i)
-        cols.append(i)
-        vals.append(-out_rate)
+    # (mask of states that can move, their targets, rate) per transition type
+    moves = [((idx & 1) == 0, idx | 1, alpha), ((idx & top) != 0, idx ^ top, beta)]
+    moves += [(((idx >> p) & 3) == 1, idx ^ (3 << p), 1.0)  # sites p+1, p+2 hold (1, 0)
+              for p in range(n - 1)]
+    out_rate = np.zeros(size)
+    for mask, _, rate in moves:
+        out_rate[mask] += rate
+    rows = np.concatenate([idx[mask] for mask, _, _ in moves] + [idx])
+    cols = np.concatenate([target[mask] for mask, target, _ in moves] + [idx])
+    vals = np.concatenate([np.full(np.count_nonzero(mask), rate) for mask, _, rate in moves]
+                          + [-out_rate])
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
@@ -94,29 +87,27 @@ def kmc_sample(
         raise DomainError("burn_in and thin must exceed 0")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    # successors and rates of state i: off-diagonal CSR row i of the generator
+    # successors and cumulative rates of state i: off-diagonal CSR row i
     q = build_generator(n, alpha, beta)
     q.setdiag(0.0)
     q.eliminate_zeros()
-    cum_rates = [np.cumsum(q.data[q.indptr[i]:q.indptr[i + 1]]) for i in range(1 << n)]
+    bounds = list(zip(q.indptr[:-1].tolist(), q.indptr[1:].tolist()))
+    successors = [q.indices[lo:hi].tolist() for lo, hi in bounds]
+    cum_rates = [list(accumulate(q.data[lo:hi].tolist())) for lo, hi in bounds]
     rng = stream(seed, 0)
-    out = np.empty((n_samples, n), dtype=np.uint8)
+    recorded = []
     state = 0
     t = 0.0
-    k = 0
     next_record = burn_in
-    while k < n_samples:
+    while len(recorded) < n_samples:
         cum = cum_rates[state]
         t += rng.exponential(1.0 / cum[-1])
-        while k < n_samples and next_record <= t:
-            for j in range(n):
-                out[k, j] = (state >> j) & 1
-            k += 1
-            next_record = burn_in + k * thin
-        if k < n_samples:
-            event = np.searchsorted(cum, rng.uniform(0.0, cum[-1]), side="right")
-            state = int(q.indices[q.indptr[state] + event])
-    return out
+        while len(recorded) < n_samples and next_record <= t:
+            recorded.append(state)
+            next_record = burn_in + len(recorded) * thin
+        if len(recorded) < n_samples:
+            state = successors[state][bisect_right(cum, rng.uniform(0.0, cum[-1]))]
+    return ((np.array(recorded)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 def empirical_distribution(samples: np.ndarray) -> np.ndarray:

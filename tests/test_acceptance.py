@@ -49,9 +49,9 @@ def test_criterion_2_pair_sum_identity():
     for a, b in [(Fraction(1, 2), Fraction(2)), (Fraction(3), Fraction(3)),
                  (Fraction(1, 3), Fraction(5, 4))]:
         for n in range(1, 9):
-            t = ot.stationary_weights_recursive(n, a, b, exact=True)
+            t = ot.stationary_weights_recursive(n, a, b)
             for i in range(1 << n):
-                if ot.f_n_enumerate(t.config(i), a, b, exact=True) != t.weights[i]:
+                if ot.f_n_enumerate(t.config(i), a, b) != t.weights[i]:
                     exact_ok = False
     # floating route
     worst = 0.0

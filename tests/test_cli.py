@@ -232,7 +232,9 @@ class TestExitCodes:
         ("abc", ("phase", "--a", "1", "--b", "1")),
         (None, ("ldp",)),
         (None, ("phase", "--a", "1", "--b", "1", "--config")),
-    ], ids=["bad-threads-env", "ldp-without-subcommand", "config-without-path"])
+        (None, ("--co", "nonexistent", "phase", "--a", "1", "--b", "1")),
+    ], ids=["bad-threads-env", "ldp-without-subcommand", "config-without-path",
+            "config-prefix"])
     def test_parser_usage_errors(self, capsys, monkeypatch, threads_env, argv):
         if threads_env is not None:
             monkeypatch.setenv("TASEP_THREADS", threads_env)

@@ -52,9 +52,13 @@ class TestRecursion:
             stationary_weights_recursive(17, 1.0, 1.0)
 
     def test_rational_mode_exact(self):
-        t = stationary_weights_recursive(3, Fraction(1, 2), Fraction(2), exact=True)
-        assert t[(0, 0, 0)] == Fraction(27, 8)
-        assert t.z == sum(t.weights)
+        # one Fraction parameter makes the whole table exact
+        for a, b in [(Fraction(1, 3), Fraction(5, 7)), (Fraction(1, 3), 1.25)]:
+            t = stationary_weights_recursive(3, a, b)
+            assert all(isinstance(w, Fraction) for w in t.weights)
+            assert t[(0, 0, 0)] == (1 + a) ** 3
+            assert t[(1, 1, 1)] == (1 + Fraction(b)) ** 3
+            assert t.z == sum(t.weights)
 
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (1.0, 3.0), (3.0, 3.0)])
     def test_rule_consistency(self, a, b):
@@ -153,9 +157,9 @@ class TestPairSum:
     def test_identity_exact_rational(self):
         a, b = Fraction(2), Fraction(1, 2)
         for n in range(1, 7):
-            t = stationary_weights_recursive(n, a, b, exact=True)
+            t = stationary_weights_recursive(n, a, b)
             for i in range(1 << n):
-                assert f_n_enumerate(t.config(i), a, b, exact=True) == t.weights[i]
+                assert f_n_enumerate(t.config(i), a, b) == t.weights[i]
 
 
 class TestEnumeration:

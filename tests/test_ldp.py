@@ -520,11 +520,8 @@ class TestNonFiniteInputs:
             "shock_region_K": lambda: shock_region_K(a, b),
             "log_c_growth_rate": lambda: opentasep.log_c_growth_rate(a, b),
             "stationary_weights_recursive": lambda: opentasep.stationary_weights_recursive(3, a, b),
-            "stationary_weights_recursive_exact":
-                lambda: opentasep.stationary_weights_recursive(3, a, b, exact=True),
             "stationary_weights_matrix": lambda: opentasep.stationary_weights_matrix(3, a, b),
             "f_n_enumerate": lambda: opentasep.f_n_enumerate((1, 0), a, b),
-            "f_n_enumerate_exact": lambda: opentasep.f_n_enumerate((1, 0), a, b, exact=True),
             "tle_enumerate": lambda: opentasep.tle_enumerate(2, a, b),
             "two_line_weight": lambda: opentasep.two_line_weight(path, path, a, b),
             "verify_marginal_identity": lambda: opentasep.verify_marginal_identity(2, a, b, 1e-10),
