@@ -23,7 +23,7 @@ _EXPORTS = {
         "verify_marginal_identity",
     ),
     "fluctuations": (
-        "LimitEnsemble", "ScalingConfig", "compare_distributions", "sample_scaled_processes",
+        "LimitEnsemble", "compare_distributions", "sample_scaled_processes",
         "simulate_limit_exact", "simulate_limit_process",
     ),
     "ldp": (

@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
         for n in range(1, args.n_max + 1):
             rec = exact_engine.stationary_weights_recursive(n, a, b)
             # f_N(tau), the sum of pair weights over every second walk
-            f_n = exact_engine.tle_enumerate(n, a, b).s1_marginal()
+            f_n = exact_engine.f_n_enumerate_all(n, a, b)
             errors = {"marginal": float(np.max(np.abs(f_n / f_n.sum() - rec.probabilities()))),
                       "identity": float(np.max(np.abs(f_n - rec.weights) / rec.weights))}
             errors["matrix"], errors["generator"] = _route_errors(n, params_from_ab(a, b), rec)
@@ -369,23 +369,22 @@ def cmd_fluct(args) -> int:
     from .two_line_sampler import check_functionals_bytes
 
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
-    cfg = fluctuations.ScalingConfig(u=args.u, v=args.v, n=args.n)
     # refuse bad or oversized requests before --out is made or sampling starts
-    check_functionals_bytes(args.count, len(cfg.mesh))
-    fluctuations.check_limit_request(args.u, args.v, limit_count, cfg.mesh)
+    params_from_scaling(args.u, args.v, args.n)
+    check_functionals_bytes(args.count, len(fluctuations.MESH))
+    fluctuations.check_limit_request(args.u, args.v, limit_count)
     os.makedirs(args.out, exist_ok=True)
-    scaled = fluctuations.sample_scaled_processes(cfg, args.count, args.seed,
-                                                  threads=args.threads)
-    ens = fluctuations.simulate_limit_exact(args.u, args.v, limit_count, args.seed + 1,
-                                            mesh=cfg.mesh)
+    scaled = fluctuations.sample_scaled_processes(args.u, args.v, args.n, args.count,
+                                                  args.seed, threads=args.threads)
+    ens = fluctuations.simulate_limit_exact(args.u, args.v, limit_count, args.seed + 1)
     if ens.degenerate:
         print(f"warning: importance-sampling ESS {ens.ess:.1f} below 1% of "
               f"{limit_count}", file=sys.stderr)
     files = {key: os.path.join(args.out, f"{key}.csv")
              for key in ("tle_w1", "tle_wminus", "limit")}
-    _write_fluct_csvs(files, cfg.mesh, scaled, ens)
+    _write_fluct_csvs(files, fluctuations.MESH, scaled, ens)
     per_mesh = {}
-    for j, x in enumerate(cfg.mesh):
+    for j, x in enumerate(fluctuations.MESH):
         rep = fluctuations.compare_distributions(
             scaled.w_minus[:, j], ens.omega_mesh[:, j], ens.weights
         )

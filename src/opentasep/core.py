@@ -85,17 +85,6 @@ def check_bits(bits: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(int, bits))
 
 
-def check_mesh(mesh: Iterable[float]) -> tuple[float, ...]:
-    """The mesh as a tuple of floats, refused unless it is nonempty, sorted,
-    within [0, 1] and ends at 1; NaN never passes."""
-    mesh = tuple(float(x) for x in mesh)
-    if not mesh or mesh[-1] != 1.0 or not all(
-            x <= y for x, y in zip((0.0,) + mesh, mesh)):
-        raise DomainError(f"mesh must be nonempty, sorted, within [0, 1] and end at 1, "
-                          f"got {mesh!r}")
-    return mesh
-
-
 @dataclass(frozen=True)
 class BoundaryParams:
     """The boundary parameters (a, b), both positive and finite.

@@ -245,18 +245,26 @@ def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, a: float, b: float) ->
     return b ** d.astype(float) * (a * b) ** (-mins.astype(float))
 
 
-def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
-    """Full joint table of pair weights over all 4^N path pairs."""
+def _pair_weight_rows(n: int, a: float, b: float):
+    """The joint table's rows, one at a time, in configuration-index order."""
     check_size(n, PAIR_ENUMERATION_CAP)
     check_ab(a, b)
     a, b = float(a), float(b)
     heights = np.ascontiguousarray(all_height_paths(n).T)
+    return (_pair_weight_row(heights[:, i], heights, a, b) for i in range(1 << n))
+
+
+def f_n_enumerate_all(n: int, a: float, b: float) -> np.ndarray:
+    """f_N per configuration index: the joint's row sums, bit for bit, without it."""
+    return np.array([np.sum(row) for row in _pair_weight_rows(n, a, b)])
+
+
+def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
+    """Full joint table of pair weights over all 4^N path pairs."""
     size = 1 << n
-    joint = np.empty((size, size))
-    for i in range(size):
-        joint[i] = _pair_weight_row(heights[:, i], heights, a, b)
+    joint = np.fromiter(_pair_weight_rows(n, a, b), dtype=(float, size), count=size)
     c = joint.sum() / 4.0 ** n
-    return TwoLineTable(n_sites=n, a=a, b=b, joint=joint, c=c)
+    return TwoLineTable(n_sites=n, a=float(a), b=float(b), joint=joint, c=c)
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ class MarginalReport:
 def verify_marginal_identity(n: int, a: float, b: float, tol: float) -> MarginalReport:
     """Compare the enumerated pair-ensemble s1-marginal with the normalized
     recursion weights; failures are reported, not raised."""
-    marginal = tle_enumerate(n, a, b).s1_marginal()
+    marginal = f_n_enumerate_all(n, a, b)
     marginal /= marginal.sum()
     rec = stationary_weights_recursive(n, a, b)
     err = float(np.max(np.abs(marginal - rec.probabilities())))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, check_bytes, check_mesh, check_uv, params_from_scaling
+from .core import DomainError, check_bytes, check_uv, params_from_scaling
 from .rng import stream
 from .two_line_sampler import (
     TABLE_BYTES_CAP,
@@ -33,29 +33,9 @@ from .two_line_sampler import (
     sample_functionals,
 )
 
-DEFAULT_MESH = (0.25, 0.5, 0.75, 1.0)
+MESH = (0.25, 0.5, 0.75, 1.0)  # the points x at which every process is read
 _BLOCK = 4096
 ESS_WARN_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class ScalingConfig:
-    """One scaling-window experiment: boundary parameters (u, v), system size
-    n, and the mesh of evaluation points (sorted, within [0,1], ending at 1)."""
-
-    u: float
-    v: float
-    n: int
-    mesh: tuple[float, ...] = DEFAULT_MESH
-
-    def __post_init__(self) -> None:
-        check_uv(self.u, self.v)
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        object.__setattr__(self, "mesh", check_mesh(self.mesh))
-
-    def positions(self) -> list[int]:
-        return [math.floor(x * self.n) for x in self.mesh]
 
 
 @dataclass(frozen=True)
@@ -67,15 +47,16 @@ class ScaledSample:
     w_minus: np.ndarray
 
 
-def sample_scaled_processes(cfg: ScalingConfig, count: int, seed: int,
+def sample_scaled_processes(u: float, v: float, n: int, count: int, seed: int,
                             threads: int = 1) -> ScaledSample:
-    p = params_from_scaling(cfg.u, cfg.v, cfg.n)
-    positions = cfg.positions()
+    """count scaled samples of the size-n system at (u, v), at the mesh points."""
+    p = params_from_scaling(u, v, n)
+    positions = [math.floor(x * n) for x in MESH]
     check_functionals_bytes(count, len(positions))  # before the table is built
     # no local holds the table, so it is freed before the scaling below
-    s1, d = sample_functionals(build_partition_table(cfg.n, p.a, p.b), count, seed,
+    s1, d = sample_functionals(build_partition_table(n, p.a, p.b), count, seed,
                                positions, threads=threads)
-    root = math.sqrt(cfg.n)
+    root = math.sqrt(n)
     ks = np.array(positions, dtype=float)
     w1 = (2.0 * s1 - ks) / root
     w_minus = d / root
@@ -95,7 +76,6 @@ class LimitEnsemble:
     """
 
     n_steps: int
-    mesh: tuple[float, ...]
     omega_mesh: np.ndarray
     weights: np.ndarray
     kappa_hat: float
@@ -122,31 +102,28 @@ class LimitEnsemble:
         motion of variance 1/2)."""
         x = self.resample_x(count, seed)
         rng = stream(seed, 1)
-        gaps = np.diff(np.concatenate([[0.0], np.asarray(self.mesh)]))
+        gaps = np.diff(MESH, prepend=0.0)
         incr = rng.normal(0.0, 1.0, size=(count, gaps.size)) * np.sqrt(gaps / 2.0)
         return x + np.cumsum(incr, axis=1)
 
 
-def check_limit_request(u: float, v: float, count: int, mesh: tuple[float, ...],
-                        n_steps: int = 0) -> tuple[float, ...]:
+def check_limit_request(u: float, v: float, count: int, n_steps: int = 0) -> None:
     """Refuse a limit ensemble outside its domain or over the memory cap,
-    before any work; returns the checked mesh.  n_steps is the grid of
-    simulate_limit_process, whose working block holds min(4096, count) paths
-    of n_steps points, or 0 for simulate_limit_exact, whose block holds a few
-    arrays of that many paths at the mesh points."""
+    before any work.  n_steps is the grid of simulate_limit_process, whose
+    working block holds min(4096, count) paths of n_steps points, or 0 for
+    simulate_limit_exact, whose block holds a few arrays of that many paths
+    at the mesh points."""
     check_uv(u, v)
     if count < 1:
         raise DomainError("count must be >= 1")
-    mesh = check_mesh(mesh)
-    block_cells = n_steps or 4 * len(mesh)
-    check_bytes(8 * count * (len(mesh) + 1) + 8 * min(_BLOCK, count) * block_cells,
+    block_cells = n_steps or 4 * len(MESH)
+    check_bytes(8 * count * (len(MESH) + 1) + 8 * min(_BLOCK, count) * block_cells,
                 TABLE_BYTES_CAP,  # omega_mesh and weights, plus one working block
                 f"simulating {count} limit paths")
-    return mesh
 
 
-def _weighted_ensemble(u: float, v: float, n_steps: int, mesh: tuple[float, ...],
-                       omega_mesh: np.ndarray, path_min: np.ndarray) -> LimitEnsemble:
+def _weighted_ensemble(u: float, v: float, n_steps: int, omega_mesh: np.ndarray,
+                       path_min: np.ndarray) -> LimitEnsemble:
     """The ensemble of paths omega_mesh (last column omega(1)) with minima
     path_min, each weighted by its raw tilt exp((u+v) * min - v * omega(1)).
     A tilt out of floating-point range (a weight or the ESS overflows, or
@@ -158,14 +135,13 @@ def _weighted_ensemble(u: float, v: float, n_steps: int, mesh: tuple[float, ...]
         raise DomainError(f"the limit tilt at (u, v) = ({u!r}, {v!r}) is out of "
                           "floating-point range for the weights or their ESS")
     return LimitEnsemble(
-        n_steps=n_steps, mesh=mesh, omega_mesh=omega_mesh,
-        weights=weights, kappa_hat=float(weights.mean()), ess=ess,
+        n_steps=n_steps, omega_mesh=omega_mesh, weights=weights,
+        kappa_hat=float(weights.mean()), ess=ess,
         degenerate=ess < ESS_WARN_FRACTION * weights.size,
     )
 
 
-def simulate_limit_exact(u: float, v: float, count: int, seed: int,
-                         mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
+def simulate_limit_exact(u: float, v: float, count: int, seed: int) -> LimitEnsemble:
     """Importance-sample the tilted Brownian component exactly at the mesh.
 
     Block i of up to 4096 paths draws from stream (seed, i): Gaussian
@@ -176,9 +152,9 @@ def simulate_limit_exact(u: float, v: float, count: int, seed: int,
     section 6.4), so the raw weight exp((u+v) * min - v * omega(1)) uses the
     continuum minimum.  The ensemble's n_steps is 0: there is no grid.
     """
-    mesh = check_limit_request(u, v, count, mesh)
-    dt = np.diff(mesh, prepend=0.0)
-    omega_mesh = np.empty((count, len(mesh)))
+    check_limit_request(u, v, count)
+    dt = np.diff(MESH, prepend=0.0)
+    omega_mesh = np.empty((count, len(MESH)))
     path_min = np.empty(count)
     for block_idx, start in enumerate(range(0, count, _BLOCK)):
         rng = stream(seed, block_idx)
@@ -189,16 +165,16 @@ def simulate_limit_exact(u: float, v: float, count: int, seed: int,
         left = omega - incr  # the path at each interval's left end
         lows = (left + omega - np.sqrt(spread)) / 2.0
         path_min[start : start + _BLOCK] = np.minimum(lows.min(axis=1), 0.0)
-    return _weighted_ensemble(u, v, 0, mesh, omega_mesh, path_min)
+    return _weighted_ensemble(u, v, 0, omega_mesh, path_min)
 
 
-def _grid_walk(n_steps: int, count: int, seed: int,
-               mesh: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _grid_walk(n_steps: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Values at the mesh points and grid minima of count variance-1/2
-    Brownian paths on an n_steps grid; block i of paths uses stream (seed, i)."""
-    cols = [int(round(x * n_steps)) for x in mesh]
+    Brownian paths on an n_steps grid; block i of paths uses stream (seed, i).
+    n_steps >= 3 puts every mesh point past omega(0)."""
+    cols = [int(round(x * n_steps)) for x in MESH]
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
-    omega_mesh = np.empty((count, len(mesh)))
+    omega_mesh = np.empty((count, len(MESH)))
     grid_min = np.empty(count)
     buf = np.empty((min(_BLOCK, count), n_steps))
     done = 0
@@ -212,15 +188,14 @@ def _grid_walk(n_steps: int, count: int, seed: int,
         # the grid includes omega(0) = 0
         grid_min[done : done + size] = np.minimum(paths.min(axis=1), 0.0)
         for i, c in enumerate(cols):
-            omega_mesh[done : done + size, i] = 0.0 if c == 0 else paths[:, c - 1]
+            omega_mesh[done : done + size, i] = paths[:, c - 1]
         done += size
         block_idx += 1
     return omega_mesh, grid_min
 
 
 def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
-                           seed: int,
-                           mesh: tuple[float, ...] = DEFAULT_MESH) -> LimitEnsemble:
+                           seed: int) -> LimitEnsemble:
     """Importance-sample the tilted Brownian component on an n_steps grid.
 
     Reference paths are variance-1/2 Brownian (Gaussian increments of
@@ -229,9 +204,9 @@ def simulate_limit_process(u: float, v: float, n_steps: int, count: int,
     """
     if n_steps < 100:
         raise DomainError("n_steps must be >= 100")
-    mesh = check_limit_request(u, v, count, mesh, n_steps)
-    omega_mesh, grid_min = _grid_walk(n_steps, count, seed, mesh)
-    return _weighted_ensemble(u, v, n_steps, mesh, omega_mesh, grid_min)
+    check_limit_request(u, v, count, n_steps)
+    omega_mesh, grid_min = _grid_walk(n_steps, count, seed)
+    return _weighted_ensemble(u, v, n_steps, omega_mesh, grid_min)
 
 
 @dataclass(frozen=True)

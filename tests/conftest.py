@@ -128,16 +128,14 @@ def triple_point_runs():
 
     @functools.cache
     def scaled(u, v):
-        return ot.sample_scaled_processes(ot.ScalingConfig(u, v, 2048), 10**5, seed=7,
-                                          threads=2)
+        return ot.sample_scaled_processes(u, v, 2048, 10**5, seed=7, threads=2)
 
     @functools.cache
     def walk(n_steps):
-        return fluctuations._grid_walk(n_steps, 2 * 10**5, 101, fluctuations.DEFAULT_MESH)
+        return fluctuations._grid_walk(n_steps, 2 * 10**5, 101)
 
     @functools.cache
     def limit(u, v, n_steps):
-        return fluctuations._weighted_ensemble(u, v, n_steps, fluctuations.DEFAULT_MESH,
-                                               *walk(n_steps))
+        return fluctuations._weighted_ensemble(u, v, n_steps, *walk(n_steps))
 
     return SimpleNamespace(scaled=scaled, limit=limit)

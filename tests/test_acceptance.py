@@ -136,8 +136,7 @@ def test_criterion_4b_log_c_matches_enumeration():
 
 def test_criterion_5_scaled_endpoint_variance():
     t0 = time.time()
-    cfg = ot.ScalingConfig(0.0, 0.0, 1024)
-    w1 = ot.sample_scaled_processes(cfg, 10**5, seed=11).w1
+    w1 = ot.sample_scaled_processes(0.0, 0.0, 1024, 10**5, seed=11).w1
     end = w1[:, -1]
     var = float(end.var(ddof=1))
     m4 = float(np.mean((end - end.mean()) ** 4))

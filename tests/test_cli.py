@@ -167,12 +167,13 @@ class TestExitCodes:
         prefix = "domain error:" if want == 2 else "resource error:"
         assert err.startswith(prefix) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("sizes", [
-        ("--count", "0", "--limit-count", "10"),
-        ("--count", "10", "--limit-count", "0"),
-    ], ids=["count", "limit-count"])
-    def test_fluct_refusal_leaves_no_out_dir(self, capsys, tmp_path, sizes):
-        code, out, _ = run(capsys, "fluct", "--n", "16", "--u", "0", "--v", "0", *sizes,
+    @pytest.mark.parametrize("argv", [
+        ("--n", "16", "--u", "0", "--count", "0", "--limit-count", "10"),
+        ("--n", "16", "--u", "0", "--count", "10", "--limit-count", "0"),
+        ("--n", "1", "--u", "1000", "--count", "10"),  # |u|/sqrt(n) over the cap
+    ], ids=["count", "limit-count", "u-cap"])
+    def test_fluct_refusal_leaves_no_out_dir(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, "fluct", *argv, "--v", "0",
                            "--seed", "1", "--out", str(tmp_path / "new"))
         assert code == 2 and out == ""
         assert not (tmp_path / "new").exists()
@@ -370,12 +371,11 @@ class TestFluct:
                          "--count", str(count), "--limit-count", "600",
                          "--seed", str(seed), "--out", str(tmp_path))
         assert code == 0
-        cfg = fluctuations.ScalingConfig(u=1.0, v=-0.5, n=128)
-        w1 = fluctuations.sample_scaled_processes(cfg, count, seed).w1
+        w1 = fluctuations.sample_scaled_processes(1.0, -0.5, 128, count, seed).w1
         lines = (tmp_path / "tle_w1.csv").read_text().splitlines()
         assert lines[0] == "x,sample_id,value"
-        assert len(lines) == 1 + len(cfg.mesh) * count
-        for j, x in enumerate(cfg.mesh):
+        assert len(lines) == 1 + len(fluctuations.MESH) * count
+        for j, x in enumerate(fluctuations.MESH):
             for i in range(count):
                 cells = lines[1 + j * count + i].split(",")
                 assert (float(cells[0]), int(cells[1]), float(cells[2])) == (x, i, w1[i, j])
@@ -394,9 +394,8 @@ class TestFluct:
         omega = rng.normal(size=(300, 3))
         omega[0] = [-0.0, 1e-300, 1e300]
         weights = rng.exponential(size=300)
-        ens = fluctuations.LimitEnsemble(n_steps=100, mesh=mesh, omega_mesh=omega,
-                                         weights=weights, kappa_hat=1.0, ess=300.0,
-                                         degenerate=False)
+        ens = fluctuations.LimitEnsemble(n_steps=100, omega_mesh=omega, weights=weights,
+                                         kappa_hat=1.0, ess=300.0, degenerate=False)
         files = {key: str(tmp_path / f"{key}.csv")
                  for key in ("tle_w1", "tle_wminus", "limit")}
         cli._write_fluct_csvs(files, mesh, scaled, ens)

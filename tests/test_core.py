@@ -229,7 +229,7 @@ PUBLIC_NAMES = {
     "exact_engine": ("TwoLineTable", "WeightTable", "f_n_enumerate",
                      "stationary_weights_matrix", "stationary_weights_recursive",
                      "tle_enumerate", "two_line_weight", "verify_marginal_identity"),
-    "fluctuations": ("LimitEnsemble", "ScalingConfig", "compare_distributions",
+    "fluctuations": ("LimitEnsemble", "compare_distributions",
                      "sample_scaled_processes", "simulate_limit_exact",
                      "simulate_limit_process"),
     "ldp": ("Profile", "MonotoneStep", "J_star", "J_upper", "convex_envelope",
@@ -274,7 +274,7 @@ class TestNamespace:
         src = os.path.dirname(os.path.dirname(opentasep.__file__))
         code = ("import opentasep; "
                 "print(opentasep.ldp.Profile is opentasep.Profile, "
-                "opentasep.fluctuations.DEFAULT_MESH[-1], "
+                "opentasep.fluctuations.MESH[-1], "
                 "{'rng', 'textio', 'ldp'} <= set(dir(opentasep)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})

@@ -16,7 +16,7 @@ from opentasep import (
     two_line_weight,
     verify_marginal_identity,
 )
-from opentasep.exact_engine import all_height_paths, config_bits
+from opentasep.exact_engine import all_height_paths, config_bits, f_n_enumerate_all
 from opentasep.two_line_sampler import build_partition_table
 
 
@@ -191,9 +191,18 @@ class TestEnumeration:
             rep = verify_marginal_identity(n, a, b, 1e-10)
             assert rep.passed, (n, a, b, rep.max_abs_error)
 
+    @pytest.mark.parametrize("a,b", [(2.0, 0.5), (0.3, 0.45)])
+    def test_row_sums_match_joint(self, a, b):
+        # f_N summed one row at a time equals the joint's row sums bit for bit
+        for n in range(1, 9):
+            assert np.array_equal(f_n_enumerate_all(n, a, b),
+                                  tle_enumerate(n, a, b).s1_marginal())
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             tle_enumerate(13, 1.0, 1.0)
+        with pytest.raises(ResourceLimitError):
+            f_n_enumerate_all(13, 1.0, 1.0)
 
     def test_all_height_paths_shape(self):
         paths = all_height_paths(3)

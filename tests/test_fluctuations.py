@@ -9,8 +9,8 @@ from scipy.special import erfcx
 from opentasep import (
     DomainError,
     ResourceLimitError,
-    ScalingConfig,
     compare_distributions,
+    params_from_scaling,
     sample_scaled_processes,
     simulate_limit_exact,
     simulate_limit_process,
@@ -47,38 +47,33 @@ def exact_kappa(u, v):
 
 
 class TestScalingConfig:
-    def test_mesh_validation(self):
-        with pytest.raises(DomainError):
-            ScalingConfig(0.0, 0.0, 100, mesh=(0.5, 0.25, 1.0))
-        with pytest.raises(DomainError):
-            ScalingConfig(0.0, 0.0, 100, mesh=(0.25, 0.5))
-        cfg = ScalingConfig(0.0, 0.0, 100)
-        assert cfg.mesh[-1] == 1.0
+    def test_positions(self, monkeypatch):
+        # n = 10 records columns at floor(x n) for x in (0.25, 0.5, 0.75, 1)
+        seen = []
+        real = fluctuations.sample_functionals
 
-    def test_positions(self):
-        cfg = ScalingConfig(0.0, 0.0, 10, mesh=(0.25, 1.0))
-        assert cfg.positions() == [2, 10]
+        def spy(table, count, seed, positions, threads=1):
+            seen.append(positions)
+            return real(table, count, seed, positions, threads=threads)
 
-    @pytest.mark.parametrize("u,v,mesh", [
-        (math.nan, 0.0, (0.5, 1.0)), (0.0, math.nan, (0.5, 1.0)),
-        (math.inf, 0.0, (0.5, 1.0)), (0.0, 0.0, (math.nan, 1.0)),
-        (0.0, 0.0, (0.5, math.nan)), (0.0, 0.0, (math.nan,)),
-        (0.0, 0.0, (-0.5, 1.0)),
-    ])
-    def test_non_finite_inputs_rejected(self, u, v, mesh):
+        monkeypatch.setattr(fluctuations, "sample_functionals", spy)
+        sample_scaled_processes(0.0, 0.0, 10, 5, seed=1)
+        assert seen == [[2, 5, 7, 10]]
+
+    @pytest.mark.parametrize("u,v", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_inputs_rejected(self, u, v):
         with pytest.raises(DomainError):
-            ScalingConfig(u, v, 16, mesh=mesh)
+            sample_scaled_processes(u, v, 16, 10, seed=1)
         with pytest.raises(DomainError):
-            simulate_limit_process(u, v, 100, 10, seed=1, mesh=mesh)
+            simulate_limit_process(u, v, 100, 10, seed=1)
         with pytest.raises(DomainError):
-            simulate_limit_exact(u, v, 10, seed=1, mesh=mesh)
+            simulate_limit_exact(u, v, 10, seed=1)
 
 
 class TestScaledSampling:
     def test_exact_binomial_variance(self):
         # (2 H(N) - N)/sqrt(N) has variance exactly 1 for every N at u=v=0
-        cfg = ScalingConfig(0.0, 0.0, 64)
-        w1 = sample_scaled_processes(cfg, 100_000, seed=11).w1
+        w1 = sample_scaled_processes(0.0, 0.0, 64, 100_000, seed=11).w1
         end = w1[:, -1]
         var = end.var(ddof=1)
         m4 = np.mean((end - end.mean()) ** 4)
@@ -91,15 +86,13 @@ class TestScaledSampling:
         # more particles: the endpoint mean increases with u
         means = []
         for u in (-2.0, 0.0, 2.0):
-            cfg = ScalingConfig(u, 0.0, 400)
-            w1 = sample_scaled_processes(cfg, 20_000, seed=3).w1
+            w1 = sample_scaled_processes(u, 0.0, 400, 20_000, seed=3).w1
             means.append(float(w1[:, -1].mean()))
         assert means[0] < means[1] < means[2]
 
     def test_decomposition_at_triple_point(self):
         # W+ and W- are asymptotically independent with variance 1/2 each
-        cfg = ScalingConfig(0.0, 0.0, 1024)
-        s = sample_scaled_processes(cfg, 100_000, seed=17)
+        s = sample_scaled_processes(0.0, 0.0, 1024, 100_000, seed=17)
         wp = s.w_plus[:, -1]
         wm = s.w_minus[:, -1]
         corr = np.corrcoef(wp, wm)[0, 1]
@@ -108,21 +101,21 @@ class TestScaledSampling:
         assert abs(wm.var(ddof=1) - 0.5) <= 0.05 * 0.5
 
     def test_w1_is_w_plus_plus_w_minus(self):
-        cfg = ScalingConfig(1.0, -0.5, 128)
-        s = sample_scaled_processes(cfg, 2000, seed=5)
+        s = sample_scaled_processes(1.0, -0.5, 128, 2000, seed=5)
         assert np.allclose(s.w1, s.w_plus + s.w_minus, atol=1e-12)
 
     def test_position_zero_columns(self):
-        # mesh points with floor(xN) = 0 give zero columns, and the other
-        # columns match a run without them (70,000 samples span 3 chunks)
-        mesh = (0.0, 0.004, 0.5, 1.0)
-        s = sample_scaled_processes(ScalingConfig(-1.0, 0.3, 128, mesh=mesh), 70_000,
-                                    seed=9, threads=2)
-        ref = sample_scaled_processes(ScalingConfig(-1.0, 0.3, 128, mesh=(0.5, 1.0)),
-                                      70_000, seed=9)
-        for got, want in ((s.w1, ref.w1), (s.w_minus, ref.w_minus)):
-            assert (got[:, :2] == 0.0).all()
-            assert np.array_equal(got[:, 2:], want)
+        # at n = 3 the first mesh point has floor(xN) = 0: its columns are
+        # zero, and the others hold the sampler's draws at positions 1..3
+        # (70,000 samples span 3 chunks)
+        s = sample_scaled_processes(-1.0, 0.3, 3, 70_000, seed=9, threads=2)
+        p = params_from_scaling(-1.0, 0.3, 3)
+        s1, d = fluctuations.sample_functionals(
+            fluctuations.build_partition_table(3, p.a, p.b), 70_000, 9, [1, 2, 3])
+        root = math.sqrt(3)
+        assert (s.w1[:, 0] == 0.0).all() and (s.w_minus[:, 0] == 0.0).all()
+        assert np.array_equal(s.w1[:, 1:], (2.0 * s1 - np.array([1.0, 2.0, 3.0])) / root)
+        assert np.array_equal(s.w_minus[:, 1:], d / root)
 
 
 class TestLimitSimulation:
@@ -210,15 +203,6 @@ class TestExactLimit:
                   for n_steps in (1024, 2048)]
         assert errors[1] < errors[0]
 
-    def test_zero_length_intervals(self):
-        # a mesh point at 0 and a repeated point give intervals of length 0,
-        # whose bridge minimum is the path's value there
-        ens = simulate_limit_exact(1.0, -0.5, 10_000, seed=3, mesh=(0.0, 0.5, 0.5, 1.0))
-        assert np.isfinite(ens.omega_mesh).all() and np.isfinite(ens.weights).all()
-        assert (ens.omega_mesh[:, 0] == 0.0).all()
-        assert np.array_equal(ens.omega_mesh[:, 1], ens.omega_mesh[:, 2])
-        assert (ens.weights > 0.0).all() and np.isfinite(ens.ess)
-
 
 class TestDistances:
     def test_identical_samples(self):
@@ -287,8 +271,7 @@ class TestWminusMatch:
     def test_scaled_difference_matches_limit_small(self):
         # desk-scale version of the full acceptance run
         u, v = 1.0, -0.5
-        cfg = ScalingConfig(u, v, 256)
-        scaled = sample_scaled_processes(cfg, 30_000, seed=7)
+        scaled = sample_scaled_processes(u, v, 256, 30_000, seed=7)
         ens = simulate_limit_process(u, v, 512, 60_000, seed=8)
         rep = compare_distributions(scaled.w_minus[:, -1],
                                     ens.omega_mesh[:, -1], ens.weights)

@@ -41,7 +41,7 @@ CASES = {
                "fluctuations.LimitEnsemble.sample_b_plus_x", "fluctuations.compare_distributions",
                "textio.write_csv"}),
     "verify": (["verify", "--n-max", "3", "--out", "v.json"],
-               {"exact_engine.stationary_weights_recursive", "exact_engine.tle_enumerate",
+               {"exact_engine.stationary_weights_recursive",
                 "exact_engine.stationary_weights_matrix", "markov_oracle.build_generator",
                 "markov_oracle.solve_stationary"}),
     "stationary": (["stationary", "--n", "6", "--a", "2", "--b", "1", "--out", "st"],
