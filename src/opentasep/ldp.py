@@ -26,9 +26,11 @@ width w and slope s adds w (h(s) - c s), minimized at s = sigmoid(c) with
 value -w softplus(c).  With D = f - g on X, the shock half swaps
 log(ab) min_t D_t = min_t log(ab) D_t, after which the cells separate for
 each t.  The fan half maximizes over probability vectors mu on X the
-concave dual -sum_i w_i softplus(z_i) - lam mu.f(X) - log(b) f(1), where
-lam = -log(ab), z_i = -lam M_i - log b and M_i is the mu-mass at points
->= X_{i+1}; its gradient is lam (g_mu(X) - f(X)).
+concave dual sum_i [-w_i softplus(z_i) - lam M_i df_i] - log(b) f(1), where
+lam = -log(ab), z_i = -lam M_i - log b, df_i is the rise of f over cell i
+and M_i is the mu-mass at points >= X_{i+1}.  Over the tail masses
+1 >= M_0 >= ... >= 0 that is separable and concave under a chain order, so
+pool-adjacent-violators on the cell slopes solves it exactly.
 
 Everything here computes on tuples and lists of Python floats with math,
 bisect and itertools, so importing ldp loads no NumPy.  Profile.at returns
@@ -271,7 +273,7 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
     edges = [fe.knots[0]]
     kept = []
     for i, lev in enumerate(levels):
-        if kept and abs(lev - kept[-1]) <= 1e-15:
+        if kept and lev == kept[-1]:
             edges[-1] = fe.knots[i + 1]
             continue
         kept.append(lev)
@@ -387,54 +389,24 @@ def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
     return [log_a] * t + [-log_b] * (len(w) - t), per_point[t]
 
 
-_FW_ITERATIONS = 2000   # pairwise Frank-Wolfe cap; the gap is reported either way
-_FW_TOL = 1e-10         # duality gap at which the fan solve stops
-
-
 def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
     """Logits of the Lagrangian minimizer, and the dual value, for log ab < 0.
-    Pairwise Frank-Wolfe (Lacoste-Julien & Jaggi 2015) moves mu-mass from the
-    support point of largest D to the point of smallest D, with an exact line
-    search by bisection on the monotone directional derivative; its gap
-    lam (mu.D - min D) is primal - dual."""
+    In the tail masses M the dual is sum_i w_i (s_i z_i - softplus(z_i)) plus
+    a constant, with s_i the cell slopes of f: a Bernoulli log-likelihood in
+    z, nondecreasing as M is nonincreasing.  So sigmoid(z) is the weighted
+    pool-adjacent-violators fit of s, with M clamped to [0, 1]."""
     lam = -log_ab
-    mu = [0.0] * len(X)
-    s0 = _sigmoid(-log_b)
-    mu[_argmin([y - x * s0 for x, y in zip(X, fX)])] = 1.0
-    for iteration in range(_FW_ITERATIONS + 1):
-        # z_i = -lam M_i - log b, with M_i the mu-mass at points >= X_{i+1}
-        tail_mass = list(accumulate(reversed(mu)))
-        z = [-lam * m - log_b for m in tail_mass[-2::-1]]
-        D = list(map(sub, fX, accumulate(map(mul, w, _per_cell(_sigmoid, z)), initial=0.0)))
-        j = _argmin(D)
-        support = [i for i, m in enumerate(mu) if m]
-        gap = lam * (sum(mu[i] * D[i] for i in support) - D[j])
-        if gap <= _FW_TOL or iteration == _FW_ITERATIONS:
-            break
-        k = max(support, key=D.__getitem__)
-        # moving mass gamma from k to j adds -lam sign gamma to z on the cells
-        # between them; lam * slope(gamma) is the dual's directional derivative
-        sign, lo, hi = (1.0, k, j) if j > k else (-1.0, j, k)
-        widths: dict[float, float] = {}  # total width of the cells at each z
-        for v, width in zip(z[lo:hi], w[lo:hi]):
-            widths[v] = widths.get(v, 0.0) + width
 
-        def slope(gamma: float) -> float:
-            shift = lam * sign * gamma
-            return (sign * sum(width * _sigmoid(v - shift) for v, width in widths.items())
-                    - fX[j] + fX[k])
+    def tail_mass(p: float) -> float:  # M = 1 for p <= 0 and M = 0 for p >= 1
+        if not 0.0 < p < 1.0:
+            return float(p <= 0.0)
+        return min(max((-log_b - math.log(p) + math.log1p(-p)) / lam, 0.0), 1.0)
 
-        gamma = mu[k]
-        if slope(gamma) < 0.0:
-            left, right = 0.0, gamma
-            for _ in range(60):
-                mid = 0.5 * (left + right)
-                left, right = (mid, right) if slope(mid) >= 0.0 else (left, mid)
-            gamma = left
-        mu[j] += gamma
-        mu[k] -= gamma
-    mu_f = sum(mu[i] * fX[i] for i in support)
-    return z, -sum(map(mul, w, _per_cell(_softplus, z))) - lam * mu_f - log_b * fX[-1]
+    df = _diff(fX)
+    M = _per_cell(tail_mass, _pav_nondecreasing(list(map(truediv, df, w)), w))
+    z = [-lam * m - log_b for m in M]
+    return z, (-sum(map(mul, w, _per_cell(_softplus, z))) - lam * sum(map(mul, M, df))
+               - log_b * fX[-1])
 
 
 def rate_height_variational(f: Profile, a: float, b: float,

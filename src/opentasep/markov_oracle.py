@@ -48,17 +48,15 @@ def solve_stationary(q) -> np.ndarray:
     """Probability vector pi with pi Q = 0 and sum(pi) = 1, for the generator
     Q that build_generator returns.
 
-    One sparse direct solve of Q^T pi = 0 with the last balance equation
-    replaced by the normalization.
+    One sparse direct solve: pin the last component to 1, solve the other
+    balance equations of Q^T pi = 0 for the rest, then normalize.
     """
-    import scipy.sparse as sp  # deferred: only the oracle commands load SciPy
-    import scipy.sparse.linalg
+    import scipy.sparse.linalg  # deferred: only the oracle commands load SciPy
 
-    size = q.shape[0]
-    mat = sp.vstack([q.T[:-1], np.ones((1, size))], format="csc")
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    pi = scipy.sparse.linalg.spsolve(mat, rhs)
+    qt = q.T.tocsc()
+    pi = np.append(scipy.sparse.linalg.spsolve(qt[:-1, :-1], -qt[:-1, -1].toarray().ravel()),
+                   1.0)
+    pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ q)))
     if residual > STATIONARY_RESIDUAL or not (pi > 0).all():
         raise NumericConsistencyError(

@@ -465,6 +465,26 @@ class TestHeightRateVariational:
                 assert abs(res.rate - rate_height_report(f, a, b).rate) <= 1e-8
                 assert res.gap <= 1e-9
 
+    def test_fan_gap_at_rounding_level(self):
+        # the fan solve is exact, so its gap and its distance from the closed
+        # form are rounding, not a stop tolerance
+        cases = [((0.0, 0.2, 0.32, 0.72, 0.77, 1.0), (0.0, 0.053, 0.161, 0.24, 0.26, 0.375),
+                  0.3, 0.45),
+                 ((0.0, 0.03, 0.16, 0.26, 0.85, 1.0), (0.0, 0.013, 0.059, 0.098, 0.6, 0.687),
+                  0.5, 0.5)]
+        for knots, values, a, b in cases:
+            f = Profile(knots, values)
+            res = rate_height_variational(f, a, b)
+            assert res.gap <= 1e-13
+            assert abs(res.rate - rate_height_report(f, a, b).rate) <= 1e-13
+
+    def test_tiny_clamp_interval_bounds(self):
+        # a/(1+a) and 1/(1+b) both below 1e-15: the clamp keeps them apart
+        f = Profile((0.0, 0.5, 1.0), (0.0, 0.0, 0.5))
+        for a, b in [(1e-17, 1e15), (1e-200, 1e100)]:
+            closed = rate_height_report(f, a, b).rate
+            assert abs(rate_height_variational(f, a, b).rate - closed) <= 1e-8
+
     def test_independent_of_closed_form(self, monkeypatch):
         import opentasep.ldp as ldp
 
@@ -473,7 +493,8 @@ class TestHeightRateVariational:
 
         f = Profile((0.0, 0.3, 0.7, 1.0), (0.0, 0.25, 0.3, 0.6))
         expected = {ab: rate_height_report(f, *ab).rate for ab in [(0.5, 0.8), (2.0, 1.5)]}
-        for name in ("optimal_G", "convex_envelope", "rate_height_report"):
+        for name in ("optimal_G", "convex_envelope", "rate_height_report", "J_star",
+                     "sup_over_G", "MonotoneStep", "fan_region_K", "shock_region_K"):
             monkeypatch.setattr(ldp, name, forbidden)
         for (a, b), closed in expected.items():
             res = rate_height_variational(f, a, b)
