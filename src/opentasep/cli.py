@@ -141,8 +141,6 @@ def build_parser() -> _Parser:
     _add_param_options(pr)
     pr.add_argument("--variational", action="store_true",
                     help="also run the mesh minimization")
-    pr.add_argument("--mesh", type=int, default=200,
-                    help="variational mesh: uniform cells, plus the profile's knots")
     pr.add_argument("--out", default=None, help="optional JSON output path")
 
     pd = lsub.add_parser("density", help="mean-density rate function")
@@ -421,10 +419,11 @@ def _load_profile(path: str):
         if parts[0].strip().lower() in ("x", "knot"):
             continue
         try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-        except (IndexError, ValueError):
+            x, y = map(float, parts)
+        except ValueError:
             raise UsageError(f"bad profile line, expected x,f(x): {line!r}")
+        xs.append(x)
+        ys.append(y)
     return Profile(tuple(xs), tuple(ys))
 
 
@@ -449,7 +448,7 @@ def cmd_ldp_rate(args) -> int:
                         "x1": report.x1, "x2": report.x2},
     }
     if args.variational:
-        var = ldp.rate_height_variational(f, params.a, params.b, mesh=args.mesh)
+        var = ldp.rate_height_variational(f, params.a, params.b)
         payload["variational"] = {"rate": var.rate, "gap": var.gap}
     _emit(payload, args.out)
     return EXIT_OK

@@ -172,25 +172,19 @@ def _grid_walk(n_steps: int, count: int, seed: int) -> tuple[np.ndarray, np.ndar
     """Values at the mesh points and grid minima of count variance-1/2
     Brownian paths on an n_steps grid; block i of paths uses stream (seed, i).
     n_steps >= 3 puts every mesh point past omega(0)."""
-    cols = [int(round(x * n_steps)) for x in MESH]
+    cols = [int(round(x * n_steps)) - 1 for x in MESH]  # paths omit omega(0)
     sigma = math.sqrt(1.0 / (2.0 * n_steps))
     omega_mesh = np.empty((count, len(MESH)))
     grid_min = np.empty(count)
     buf = np.empty((min(_BLOCK, count), n_steps))
-    done = 0
-    block_idx = 0
-    while done < count:
-        size = min(_BLOCK, count - done)
-        paths = buf[:size]
+    for block_idx, start in enumerate(range(0, count, _BLOCK)):
+        paths = buf[: min(_BLOCK, count - start)]
         stream(seed, block_idx).standard_normal(out=paths)
         paths *= sigma  # the values rng.normal(0.0, sigma) draws
         np.cumsum(paths, axis=1, out=paths)
         # the grid includes omega(0) = 0
-        grid_min[done : done + size] = np.minimum(paths.min(axis=1), 0.0)
-        for i, c in enumerate(cols):
-            omega_mesh[done : done + size, i] = paths[:, c - 1]
-        done += size
-        block_idx += 1
+        grid_min[start : start + _BLOCK] = np.minimum(paths.min(axis=1), 0.0)
+        omega_mesh[start : start + _BLOCK] = paths[:, cols]
     return omega_mesh, grid_min
 
 

@@ -35,10 +35,10 @@ pool-adjacent-violators on the cell slopes solves it exactly.
 Everything here computes on tuples and lists of Python floats with math,
 bisect and itertools, so importing ldp loads no NumPy.  Profile.at returns
 what np.interp returns, bit for bit, and the mesh is np.union1d(np.linspace(0,
-1, mesh + 1), knots) element for element, so the closed forms give the same
-floats as an array implementation would; the solver's sums run in their own
-order.  The mean-density rates (rate_density, rate_density_variational and
-the variational K) are scalar and live in core; they are re-exported here.
+1, MESH_CELLS + 1), knots) element for element, so the closed forms give the
+same floats as an array implementation would; the solver's sums run in their
+own order.  The mean-density rates (rate_density, rate_density_variational
+and the variational K) are scalar and live in core; they are re-exported here.
 Only finite_n_ldp_check loads NumPy, through the sampler it calls.
 """
 
@@ -54,7 +54,6 @@ from operator import lt, mul, sub, truediv
 
 from .core import (  # the density rates are core's, re-exported here
     DomainError,
-    ResourceLimitError,
     _softplus,
     check_ab,
     entropy_h,
@@ -68,9 +67,7 @@ from .core import (  # the density rates are core's, re-exported here
 )
 
 SLOPE_TOL = 1e-9  # slopes within this of [0, 1] count as admissible
-# largest mesh of rate_height_variational: about ten lists of mesh + 1 Python
-# floats, ~32 B per cell per list (an 8 B pointer and a 24 B float object)
-MESH_CAP = 10**6
+MESH_CELLS = 200  # uniform cells of the variational mesh, before the knots join
 
 
 def _diff(xs) -> list[float]:
@@ -87,11 +84,11 @@ def _union(xs, ys) -> list[float]:
     return sorted({*xs, *ys})
 
 
-def _mesh(knots, mesh: int) -> list[float]:
-    """np.union1d(np.linspace(0, 1, mesh + 1), knots), element for element:
-    linspace's points are i * (1 / mesh), with the last one set to 1."""
-    step = 1.0 / mesh
-    grid = [i * step for i in range(mesh)] + [1.0]
+def _mesh(knots) -> list[float]:
+    """np.union1d(np.linspace(0, 1, MESH_CELLS + 1), knots), element for
+    element: linspace's points are i * (1 / MESH_CELLS), the last one set to 1."""
+    step = 1.0 / MESH_CELLS
+    grid = [i * step for i in range(MESH_CELLS)] + [1.0]
     extra = [k for k in knots if grid[bisect_left(grid, k)] != k]
     return sorted(grid + extra)  # two sorted runs, merged in linear time
 
@@ -409,21 +406,16 @@ def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
                - log_b * fX[-1])
 
 
-def rate_height_variational(f: Profile, a: float, b: float,
-                            mesh: int = 200) -> VariationalResult:
+def rate_height_variational(f: Profile, a: float, b: float) -> VariationalResult:
     """Numerical height rate: the exact minimum of J_upper over second lines
-    piecewise linear on linspace(0, 1, mesh + 1) joined with the knots of f,
-    with its duality gap.  It uses no convex envelope, G_* or y_*, so it
-    checks the closed forms independently."""
+    piecewise linear on linspace(0, 1, MESH_CELLS + 1) joined with the knots
+    of f, with its duality gap.  It uses no convex envelope, G_* or y_*, so
+    it checks the closed forms independently."""
     check_ab(a, b)
-    if mesh < 50:
-        raise DomainError("mesh must be >= 50")
-    if mesh > MESH_CAP:
-        raise ResourceLimitError(f"mesh={mesh} above the cap {MESH_CAP}")
     hf = entropy_integral(f)
     if math.isinf(hf):
         return VariationalResult(math.inf, Profile.linear(0.0), 0.0)
-    X = _mesh(f.knots, mesh)
+    X = _mesh(f.knots)
     w, fX = _diff(X), f.at(X)
     log_ab, log_b = math.log(a * b), math.log(b)
     solve = _shock_mesh_solve if log_ab >= 0.0 else _fan_mesh_solve
@@ -451,9 +443,9 @@ def _pav_nondecreasing(targets: list[float], weights: list[float]) -> list[float
     return [m for m, c in zip(means, counts) for _ in range(c)]
 
 
-def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
+def sup_over_G(f: Profile, a: float, b: float) -> float:
     """Maximize int f' log G + (1-f') log(1-G) over nondecreasing step G on
-    the mesh with values in [a/(1+a), 1/(1+b)] (requires ab <= 1).
+    the variational mesh with values in [a/(1+a), 1/(1+b)] (requires ab <= 1).
 
     Cellwise the objective is a concave Bernoulli log-likelihood, so the
     isotonic maximizer is pool-adjacent-violators on the cell slopes followed
@@ -462,9 +454,7 @@ def sup_over_G(f: Profile, a: float, b: float, mesh: int = 200) -> float:
     check_ab(a, b)
     if a * b > 1.0:
         raise DomainError(f"sup_over_G needs ab <= 1, got ab = {a * b:g}")
-    if mesh < 2:
-        raise DomainError("mesh must be >= 2")
-    edges = _mesh(f.knots, mesh)
+    edges = _mesh(f.knots)
     lens, incs = _diff(edges), _diff(f.at(edges))
     iso = _pav_nondecreasing(list(map(truediv, incs, lens)), lens)
     lo = a / (1.0 + a)

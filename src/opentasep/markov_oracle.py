@@ -106,11 +106,3 @@ def kmc_sample(
         if len(recorded) < n_samples:
             state = successors[state][bisect_right(cum, rng.uniform(0.0, cum[-1]))]
     return ((np.array(recorded)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
-def empirical_distribution(samples: np.ndarray) -> np.ndarray:
-    """Histogram of occupation snapshots over configuration indices."""
-    n = samples.shape[1]
-    idx = samples.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    counts = np.bincount(idx, minlength=1 << n).astype(float)
-    return counts / counts.sum()

@@ -188,7 +188,7 @@ def test_criterion_7_closed_vs_variational_height_rate():
         for _ in range(10):
             f = random_profile(int(rng.integers(4, 9)))
             closed = ot.rate_height_report(f, a, b).rate
-            var = ot.rate_height_variational(f, a, b, mesh=200)
+            var = ot.rate_height_variational(f, a, b)
             worst = max(worst, abs(closed - var.rate))
             largest_gap = max(largest_gap, var.gap)
     passed = worst <= 1e-3

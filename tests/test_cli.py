@@ -427,20 +427,27 @@ class TestLdp:
         prof = tmp_path / "f.csv"
         prof.write_text("x,f\n0,0\n1,1\n")
         code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
-                           "--a", "1", "--b", "1", "--variational", "--mesh", "60")
+                           "--a", "1", "--b", "1", "--variational")
         payload = json.loads(out)
         assert abs(payload["variational"]["rate"] - payload["rate"]) <= 1e-3
 
-    def test_mesh_cap(self, capsys, tmp_path):
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_mesh_is_not_an_option(self, capsys, tmp_path, via_config):
+        # the variational mesh is fixed; asking for another one is refused
         prof = tmp_path / "f.csv"
         prof.write_text("x,f\n0,0\n1,0.5\n")
-        code, _, err = run(capsys, "ldp", "rate", "--profile", str(prof), "--a", "0.5",
-                           "--b", "0.5", "--variational", "--mesh", "10000000")
-        assert code == 3
-        assert err.startswith("resource error:")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mesh = 60\n")
+        mesh = ("--config", str(cfg)) if via_config else ("--mesh", "60")
+        code, out, err = run(capsys, "ldp", "rate", "--profile", str(prof), "--a", "0.5",
+                             "--b", "0.5", "--variational", *mesh)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
 
-    @pytest.mark.parametrize("text", [None, "x,f\n0\n1,0.5\n", "x,f\n0,0\n1,half\n"],
-                             ids=["missing-file", "one-field", "not-a-number"])
+    @pytest.mark.parametrize("text", [None, "x,f\n0\n1,0.5\n", "x,f\n0,0\n1,half\n",
+                                      "x,f\n0,0,7\n1,0.5\n"],
+                             ids=["missing-file", "one-field", "not-a-number", "three-fields"])
     def test_malformed_profile_is_usage_error(self, capsys, tmp_path, text):
         prof = tmp_path / "f.csv"
         if text is not None:
@@ -473,7 +480,7 @@ class TestLdp:
         prof = tmp_path / "f.csv"
         prof.write_text("x,f\n0,0\n0.5,0.5\n1,0.5\n")
         code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
-                           "--a", "1e200", "--b", "1", "--variational", "--mesh", "60")
+                           "--a", "1e200", "--b", "1", "--variational")
         assert code == 0
         payload = json.loads(out)
         assert math.isfinite(payload["rate"]) and math.isfinite(payload["variational"]["rate"])

@@ -56,19 +56,18 @@ class TestProfile:
     def test_at_and_mesh_equal_numpy(self):
         # ldp computes on Python floats; its interpolation and mesh must give
         # np.interp's and np.union1d(np.linspace(...), knots)'s floats exactly
-        from opentasep.ldp import _mesh
+        from opentasep.ldp import MESH_CELLS, _mesh
 
         rng = stream(51, 0)
         for knot_mesh in (60, 200, 997):
             for _ in range(5):
                 f = random_profile(rng, int(rng.integers(2, 12)), mesh=knot_mesh)
-                for mesh in (60, 200, 997):
-                    X = np.union1d(np.linspace(0.0, 1.0, mesh + 1), f.knots)
-                    assert _mesh(f.knots, mesh) == X.tolist()
-                    for xs in (np.asarray(f.knots), X):
-                        want = np.interp(xs, f.knots, f.values).tolist()
-                        assert f.at(xs) == want
-                        assert [f.at(float(x)) for x in xs] == want
+                X = np.union1d(np.linspace(0.0, 1.0, MESH_CELLS + 1), f.knots)
+                assert _mesh(f.knots) == X.tolist()
+                for xs in (np.asarray(f.knots), X):
+                    want = np.interp(xs, f.knots, f.values).tolist()
+                    assert f.at(xs) == want
+                    assert [f.at(float(x)) for x in xs] == want
 
     def test_invalid_construction(self):
         with pytest.raises(DomainError):
@@ -318,7 +317,7 @@ class TestSupOverG:
             f = random_profile(rng, 7)
             fe = convex_envelope(f)
             closed = J_star(fe, optimal_G(fe, a, b))
-            assert abs(sup_over_G(f, a, b, mesh=200) - closed) <= 1e-3
+            assert abs(sup_over_G(f, a, b) - closed) <= 1e-3
 
     def test_shock_rejected(self):
         with pytest.raises(DomainError):
@@ -461,7 +460,7 @@ class TestHeightRateVariational:
         for a, b in [(0.5, 0.8), (0.2, 3.0), (1.0, 1.0), (2.0, 1.5)]:
             for _ in range(3):
                 f = random_profile(rng, int(rng.integers(3, 8)), mesh=997)
-                res = rate_height_variational(f, a, b, mesh=60)
+                res = rate_height_variational(f, a, b)
                 assert abs(res.rate - rate_height_report(f, a, b).rate) <= 1e-8
                 assert res.gap <= 1e-9
 

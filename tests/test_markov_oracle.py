@@ -10,8 +10,15 @@ from opentasep import (
     solve_stationary,
     stationary_weights_recursive,
 )
-from opentasep.markov_oracle import empirical_distribution
 from opentasep.two_line_sampler import height_endpoint_distribution
+
+
+def empirical_distribution(samples: np.ndarray) -> np.ndarray:
+    """Histogram of occupation snapshots over configuration indices."""
+    n = samples.shape[1]
+    idx = samples.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    counts = np.bincount(idx, minlength=1 << n).astype(float)
+    return counts / counts.sum()
 
 
 class TestGenerator:
