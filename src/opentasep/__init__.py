@@ -12,10 +12,9 @@ _EXPORTS = {
     "core": (
         "BoundaryParams", "DomainError", "NumericConsistencyError", "PhaseInfo",
         "ResourceLimitError", "VerificationError", "entropy_h", "fan_K_variational",
-        "fan_region_K", "log_c_growth_rate", "normalization_K", "params_from_ab",
-        "params_from_rates", "params_from_scaling", "phase_info", "rate_density",
-        "rate_density_variational", "relative_entropy", "shock_K_variational",
-        "shock_region_K",
+        "log_c_growth_rate", "normalization_K", "params_from_ab", "params_from_rates",
+        "params_from_scaling", "phase_info", "rate_density", "rate_density_variational",
+        "relative_entropy", "shock_K_variational",
     ),
     "exact_engine": (
         "TwoLineTable", "WeightTable", "f_n_enumerate", "stationary_weights_matrix",

@@ -209,6 +209,8 @@ def _check_writable(path) -> None:
     """Refuse an output file that is a directory, or whose directory is
     missing or read-only, before any work starts; nothing is created or
     truncated here."""
+    if not path:
+        raise UsageError("cannot write output: empty path")
     if os.path.isdir(path):
         raise UsageError(f"cannot write output: {path}: is a directory")
     folder = os.path.dirname(os.path.abspath(path))
@@ -217,7 +219,7 @@ def _check_writable(path) -> None:
 
 
 def _emit(payload: dict, out_path=None) -> None:
-    if out_path:
+    if out_path is not None:
         textio.write_json(out_path, payload)
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -174,28 +174,11 @@ def _log_k(m: float) -> float:
 
 
 def normalization_K(a: float, b: float) -> float:
-    """Additive normalization K(a, b) = log(rho_bar (1 - rho_bar)), that is
-    log(m/(1+m)^2) at m = a in LD, b in HD and 1 in MC.  Equals the shock-region
-    closed form when ab >= 1 and the fan-region three-case form when ab <= 1.
-    """
-    region = phase_info(a, b).region
-    return _log_k({"LD": a, "HD": b, "MC": 1.0}[region])
-
-
-def shock_region_K(a: float, b: float) -> float:
-    """Closed form log((a v b)/(1 + a v b)^2); valid normalization on ab >= 1."""
+    """Additive normalization K(a, b) = log(rho_bar (1 - rho_bar)) on both
+    halves, that is log(m/(1+m)^2) at m = max(a, b, 1): m = a in LD, b in HD
+    and 1 in MC."""
     check_ab(a, b)
-    return _log_k(max(a, b))
-
-
-def fan_region_K(a: float, b: float) -> float:
-    """Three-case closed form valid on ab <= 1 (at most one of a, b exceeds 1)."""
-    check_ab(a, b)
-    if a > 1.0:
-        return _log_k(a)
-    if b > 1.0:
-        return _log_k(b)
-    return _log_k(1.0)
+    return _log_k(max(a, b, 1.0))
 
 
 def log_c_growth_rate(a: float, b: float) -> float:
@@ -265,14 +248,13 @@ def rate_density(r: float, a: float, b: float) -> float:
     ra = a / (1.0 + a)      # fan: lower branch boundary
     rb = 1.0 / (1.0 + b)    # fan: upper branch boundary
     phi_a, phi_b = _single_piece(r, a, b)
+    k = normalization_K(a, b)
     if a * b <= 1.0:
-        k = fan_region_K(a, b)
         if r < ra:
             return phi_a - k
         if r > rb:
             return phi_b - k
         return 2.0 * entropy_h(r) - k
-    k = shock_region_K(a, b)
     if r <= rb:
         return phi_a - k
     if r >= ra:

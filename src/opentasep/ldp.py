@@ -25,12 +25,14 @@ with the knots of f, so the mesh minimum is the continuum one).  A cell of
 width w and slope s adds w (h(s) - c s), minimized at s = sigmoid(c) with
 value -w softplus(c).  With D = f - g on X, the shock half swaps
 log(ab) min_t D_t = min_t log(ab) D_t, after which the cells separate for
-each t.  The fan half maximizes over probability vectors mu on X the
-concave dual sum_i [-w_i softplus(z_i) - lam M_i df_i] - log(b) f(1), where
-lam = -log(ab), z_i = -lam M_i - log b, df_i is the rise of f over cell i
-and M_i is the mu-mass at points >= X_{i+1}.  Over the tail masses
-1 >= M_0 >= ... >= 0 that is separable and concave under a chain order, so
-pool-adjacent-violators on the cell slopes solves it exactly.
+each t.  The fan half dualizes min_t D_t with a probability vector on X;
+the cell logit z_i is then log(ab) times the mass at points >= X_{i+1},
+minus log b, so z is nondecreasing in [log a, -log b] and the concave dual
+is sum_i [df_i (z_i + log b) - w_i softplus(z_i)] - log(b) f(1), with df_i
+the rise of f over cell i.  As the df_i sum to f(1), with G = sigmoid(z)
+that is the literature's sup over nondecreasing G in [a/(1+a), 1/(1+b)] of
+int f' log G + (1 - f') log(1 - G) (sup_over_G), and pool-adjacent-violators
+on the cell slopes, clamped in logit, solves it exactly.
 
 Everything here computes on tuples and lists of Python floats with math,
 bisect and itertools, so importing ldp loads no NumPy.  Profile.at returns
@@ -58,12 +60,10 @@ from .core import (  # the density rates are core's, re-exported here
     check_ab,
     entropy_h,
     fan_K_variational,
-    fan_region_K,
     normalization_K,
     rate_density,
     rate_density_variational,
     shock_K_variational,
-    shock_region_K,
 )
 
 SLOPE_TOL = 1e-9  # slopes within this of [0, 1] count as admissible
@@ -321,7 +321,7 @@ def rate_height_report(f: Profile, a: float, b: float) -> HeightRateReport:
         # two-integral objective; piecewise linear in the crossover y, so the
         # minimum over y is attained at a knot of f
         ks, fs = f.knots, f.values
-        h_vals = [entropy_h(min(max(s, 0.0), 1.0)) for s in f.slopes]
+        h_vals = [_h_slope(s) for s in f.slopes]
         # cumulative int_0^y h(f'), evaluated at knots
         cum_h = [0.0, *accumulate(map(mul, _diff(ks), h_vals))]
         log_a, log_b = math.log(a), math.log(b)
@@ -332,11 +332,11 @@ def rate_height_report(f: Profile, a: float, b: float) -> HeightRateReport:
             for x, y, c in zip(ks, fs, cum_h)
         ]
         i = _argmin(objective)
-        rate = objective[i] - shock_region_K(a, b)
+        rate = objective[i] - normalization_K(a, b)
         return HeightRateReport(rate, "shock", ks[i], None, None)
     fe = convex_envelope(f)
     g_star = optimal_G(fe, a, b)
-    rate = hf + J_star(fe, g_star) - fan_region_K(a, b)
+    rate = hf + J_star(fe, g_star) - normalization_K(a, b)
     return HeightRateReport(rate, "fan", None, g_star.x1, g_star.x2)
 
 
@@ -387,23 +387,22 @@ def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
 
 
 def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
-    """Logits of the Lagrangian minimizer, and the dual value, for log ab < 0.
-    In the tail masses M the dual is sum_i w_i (s_i z_i - softplus(z_i)) plus
-    a constant, with s_i the cell slopes of f: a Bernoulli log-likelihood in
-    z, nondecreasing as M is nonincreasing.  So sigmoid(z) is the weighted
-    pool-adjacent-violators fit of s, with M clamped to [0, 1]."""
-    lam = -log_ab
+    """Logits of the Lagrangian minimizer, and the dual value, for log ab <= 0.
+    The dual sum_i [df_i (z_i + log b) - w_i softplus(z_i)] - log(b) f(1), with
+    df_i the rise of f over cell i, is a Bernoulli log-likelihood in z over
+    nondecreasing z in [log a, -log b].  So sigmoid(z) is the weighted
+    pool-adjacent-violators fit of the cell slopes of f, clamped in logit."""
+    log_a = log_ab - log_b
 
-    def tail_mass(p: float) -> float:  # M = 1 for p <= 0 and M = 0 for p >= 1
+    def clamped_logit(p: float) -> float:
         if not 0.0 < p < 1.0:
-            return float(p <= 0.0)
-        return min(max((-log_b - math.log(p) + math.log1p(-p)) / lam, 0.0), 1.0)
+            return log_a if p <= 0.0 else -log_b
+        return min(max(math.log(p) - math.log1p(-p), log_a), -log_b)
 
     df = _diff(fX)
-    M = _per_cell(tail_mass, _pav_nondecreasing(list(map(truediv, df, w)), w))
-    z = [-lam * m - log_b for m in M]
-    return z, (-sum(map(mul, w, _per_cell(_softplus, z))) - lam * sum(map(mul, M, df))
-               - log_b * fX[-1])
+    z = _per_cell(clamped_logit, _pav_nondecreasing(list(map(truediv, df, w)), w))
+    return z, (sum(d * (zi + log_b) for d, zi in zip(df, z)) - log_b * fX[-1]
+               - sum(map(mul, w, _per_cell(_softplus, z))))
 
 
 def rate_height_variational(f: Profile, a: float, b: float) -> VariationalResult:
@@ -447,20 +446,15 @@ def sup_over_G(f: Profile, a: float, b: float) -> float:
     """Maximize int f' log G + (1-f') log(1-G) over nondecreasing step G on
     the variational mesh with values in [a/(1+a), 1/(1+b)] (requires ab <= 1).
 
-    Cellwise the objective is a concave Bernoulli log-likelihood, so the
-    isotonic maximizer is pool-adjacent-violators on the cell slopes followed
-    by clamping to the value interval.
+    In the logit z of G the objective is the fan half's dual of the mesh
+    minimum of J_upper, so it is _fan_mesh_solve's dual value.
     """
     check_ab(a, b)
     if a * b > 1.0:
         raise DomainError(f"sup_over_G needs ab <= 1, got ab = {a * b:g}")
-    edges = _mesh(f.knots)
-    lens, incs = _diff(edges), _diff(f.at(edges))
-    iso = _pav_nondecreasing(list(map(truediv, incs, lens)), lens)
-    lo = a / (1.0 + a)
-    hi = 1.0 / (1.0 + b)
-    return sum(d * math.log(g) + (width - d) * math.log1p(-g)
-               for d, width, g in zip(incs, lens, (min(max(v, lo), hi) for v in iso)))
+    X, log_b = _mesh(f.knots), math.log(b)
+    # log a + log b, not log(ab): the product underflows to 0 at a = b = 1e-200
+    return _fan_mesh_solve(X, _diff(X), f.at(X), math.log(a) + log_b, log_b)[1]
 
 
 @dataclass(frozen=True)

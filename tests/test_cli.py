@@ -147,6 +147,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("usage error: cannot write output") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,module,stage", [
+        (("sample", "--n", "8", "--a", "0.5", "--b", "0.8", "--count", "10", "--seed", "1"),
+         two_line_sampler, "build_partition_table"),
+        (("verify", "--n-max", "2"), exact_engine, "f_n_enumerate_all"),
+        (("ldp", "rate", "--profile", os.path.join(PROFILES, "c7_fan.csv"),
+          "--a", "0.5", "--b", "0.8"), None, None),
+        (("ldp", "density", "--r", "0.5", "--a", "2", "--b", "2"), None, None),
+        (("ldp", "check", "--n", "20", "--r", "0.3", "--a", "2", "--b", "1"), None, None),
+    ], ids=["sample", "verify", "ldp-rate", "ldp-density", "ldp-check"])
+    def test_empty_output_path_refused(self, capsys, monkeypatch, argv, module, stage):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the output was checked")
+
+        if module is not None:
+            monkeypatch.setattr(module, stage, work)
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: cannot write output") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,want", [
         (("sample", "--count", "0"), 2),
         (("sample", "--count", "1000000000"), 3),

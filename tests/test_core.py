@@ -15,14 +15,12 @@ from opentasep import (
     ResourceLimitError,
     entropy_h,
     f_n_enumerate,
-    fan_region_K,
     normalization_K,
     params_from_ab,
     params_from_rates,
     params_from_scaling,
     phase_info,
     relative_entropy,
-    shock_region_K,
     stationary_weights_recursive,
     two_line_weight,
 )
@@ -133,22 +131,22 @@ class TestNormalization:
         assert normalization_K(1.0, 1.0) == pytest.approx(-2 * math.log(2), rel=1e-15)
 
     def test_closed_forms_on_grid(self):
-        # shock form where ab >= 1, fan form where ab <= 1, on a 50x50 log-grid
+        # log(rho_bar (1 - rho_bar)) with rho_bar from the phase diagram, on a
+        # 50x50 log-grid spanning both halves
         grid = np.exp(np.linspace(math.log(0.1), math.log(10.0), 50))
         for a in grid:
             for b in grid:
+                rho = phase_info(float(a), float(b)).rho_bar
                 k = normalization_K(float(a), float(b))
-                if a * b >= 1.0:
-                    assert abs(k - shock_region_K(float(a), float(b))) <= 1e-12
-                if a * b <= 1.0:
-                    assert abs(k - fan_region_K(float(a), float(b))) <= 1e-12
+                assert abs(k - math.log(rho * (1.0 - rho))) <= 1e-12
 
     @pytest.mark.parametrize("a,b", [(1e10, 1e12), (1e-12, 1e10), (1e200, 1.0), (1.0, 1e200)])
     def test_region_forms_at_extreme_parameters(self, a, b):
-        # 1 - rho_bar near 0 and (1 + a)^2 beyond the double range
-        region = shock_region_K(a, b) if a * b >= 1.0 else fan_region_K(a, b)
-        assert math.isfinite(region)
-        assert abs(normalization_K(a, b) - region) <= 1e-15 * abs(region)
+        # 1 - rho_bar near 0 and (1 + m)^2 beyond the double range, m = max(a, b)
+        m = max(a, b)
+        k = normalization_K(a, b)
+        assert math.isfinite(k)
+        assert abs(k - (math.log(m) - 2.0 * math.log1p(m))) <= 1e-15 * abs(k)
 
     def test_finite_where_rho_bar_rounds_to_one(self):
         assert math.isfinite(normalization_K(1e-30, 1e20))
@@ -223,9 +221,9 @@ class TestEntropy:
 # re-exports it
 PUBLIC_NAMES = {
     "core": ("BoundaryParams", "DomainError", "NumericConsistencyError", "PhaseInfo",
-             "ResourceLimitError", "VerificationError", "entropy_h", "fan_region_K",
+             "ResourceLimitError", "VerificationError", "entropy_h",
              "log_c_growth_rate", "normalization_K", "params_from_ab", "params_from_rates",
-             "params_from_scaling", "phase_info", "relative_entropy", "shock_region_K"),
+             "params_from_scaling", "phase_info", "relative_entropy"),
     "exact_engine": ("TwoLineTable", "WeightTable", "f_n_enumerate",
                      "stationary_weights_matrix", "stationary_weights_recursive",
                      "tle_enumerate", "two_line_weight", "verify_marginal_identity"),

@@ -12,7 +12,6 @@ from opentasep import (
     convex_envelope,
     entropy_h,
     fan_K_variational,
-    fan_region_K,
     finite_n_ldp_check,
     normalization_K,
     optimal_G,
@@ -24,7 +23,6 @@ from opentasep import (
     rate_two_line,
     relative_entropy,
     shock_K_variational,
-    shock_region_K,
     sup_over_G,
 )
 from opentasep.rng import stream
@@ -281,7 +279,7 @@ class TestHeightRateClosed:
                     for x0, x1, s in zip(f.knots, f.knots[1:], f.slopes)
                 )
                 + J_star(fe, gs)
-                - fan_region_K(a, b)
+                - normalization_K(a, b)
             )
             assert shock_val == pytest.approx(fan_val, abs=1e-10)
 
@@ -310,6 +308,12 @@ class TestSupOverG:
             -math.log(2), rel=1e-12
         )
 
+    def test_underflowing_ab(self):
+        # ab = 1e-400 rounds to 0; the band (1e-200, 1) holds the slope 0.3
+        assert sup_over_G(Profile.linear(0.3), 1e-200, 1e-200) == pytest.approx(
+            entropy_h(0.3), rel=1e-12
+        )
+
     def test_matches_closed_form_random(self):
         rng = stream(48, 0)
         a, b = 0.5, 0.8
@@ -318,6 +322,20 @@ class TestSupOverG:
             fe = convex_envelope(f)
             closed = J_star(fe, optimal_G(fe, a, b))
             assert abs(sup_over_G(f, a, b) - closed) <= 1e-3
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.8), (0.2, 3.0), (1e-3, 7.0), (1.0, 1.0),
+                                     (2.0, 0.5), (1e-17, 1e15), (1e-200, 1e100)])
+    def test_height_rate_is_sup_over_G(self, a, b):
+        # the height rate is int h(f') + sup_G - K on the fan half; at ab = 1
+        # the variational rate takes the shock solver and sup_over_G the fan one
+        from opentasep.ldp import entropy_integral
+
+        rng = stream(49, 0)
+        for _ in range(20):
+            f = random_profile(rng, int(rng.integers(2, 9)))
+            rate = rate_height_variational(f, a, b).rate
+            literature = entropy_integral(f) + sup_over_G(f, a, b) - normalization_K(a, b)
+            assert abs(rate - literature) <= 1e-13 * max(1.0, abs(rate))
 
     def test_shock_rejected(self):
         with pytest.raises(DomainError):
@@ -401,8 +419,8 @@ class TestVariationalReductions:
         cases = [(0.5, 0.8), (0.2, 3.0), (2.0, 1.5), (3.0, 3.0)]
         expected = {ab: ([rate_density(r, *ab) for r in rs], normalization_K(*ab))
                     for ab in cases}
-        for name in ("rate_density", "normalization_K", "fan_region_K", "shock_region_K",
-                     "phase_info", "relative_entropy", "_log_k"):
+        for name in ("rate_density", "normalization_K", "phase_info", "relative_entropy",
+                     "_log_k"):
             for module in (core, ldp):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
@@ -415,11 +433,11 @@ class TestVariationalReductions:
     def test_k_reductions(self):
         for a, b in [(2.0, 1.0), (3.0, 3.0), (1.2, 0.9)]:
             assert shock_K_variational(a, b) == pytest.approx(
-                shock_region_K(a, b), abs=1e-8
+                normalization_K(a, b), abs=1e-8
             )
         for a, b in [(0.5, 0.5), (2.0, 0.3), (0.2, 3.0)]:
             assert fan_K_variational(a, b) == pytest.approx(
-                fan_region_K(a, b), abs=1e-8
+                normalization_K(a, b), abs=1e-8
             )
 
 
@@ -493,7 +511,7 @@ class TestHeightRateVariational:
         f = Profile((0.0, 0.3, 0.7, 1.0), (0.0, 0.25, 0.3, 0.6))
         expected = {ab: rate_height_report(f, *ab).rate for ab in [(0.5, 0.8), (2.0, 1.5)]}
         for name in ("optimal_G", "convex_envelope", "rate_height_report", "J_star",
-                     "sup_over_G", "MonotoneStep", "fan_region_K", "shock_region_K"):
+                     "sup_over_G", "MonotoneStep"):
             monkeypatch.setattr(ldp, name, forbidden)
         for (a, b), closed in expected.items():
             res = rate_height_variational(f, a, b)
@@ -536,8 +554,6 @@ class TestNonFiniteInputs:
             "params_from_ab": lambda: opentasep.params_from_ab(a, b),
             "phase_info": lambda: phase_info(a, b),
             "normalization_K": lambda: normalization_K(a, b),
-            "fan_region_K": lambda: fan_region_K(a, b),
-            "shock_region_K": lambda: shock_region_K(a, b),
             "log_c_growth_rate": lambda: opentasep.log_c_growth_rate(a, b),
             "stationary_weights_recursive": lambda: opentasep.stationary_weights_recursive(3, a, b),
             "stationary_weights_matrix": lambda: opentasep.stationary_weights_matrix(3, a, b),
