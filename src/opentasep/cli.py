@@ -208,9 +208,7 @@ def _apply_config(argv: list[str]) -> list[str]:
 def _check_writable(path) -> None:
     """Refuse an output file that is a directory, or whose directory is
     missing or read-only, before any work starts; nothing is created or
-    truncated here."""
-    if not path:
-        raise UsageError("cannot write output: empty path")
+    truncated here (main refuses an empty --out for every command)."""
     if os.path.isdir(path):
         raise UsageError(f"cannot write output: {path}: is a directory")
     folder = os.path.dirname(os.path.abspath(path))
@@ -495,6 +493,8 @@ def main(argv=None) -> int:
             raise UsageError("--threads must be >= 1")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be >= 0")
+        if getattr(args, "out", None) == "":
+            raise UsageError("cannot write output: empty path")
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,10 +29,13 @@ each t.  The fan half dualizes min_t D_t with a probability vector on X;
 the cell logit z_i is then log(ab) times the mass at points >= X_{i+1},
 minus log b, so z is nondecreasing in [log a, -log b] and the concave dual
 is sum_i [df_i (z_i + log b) - w_i softplus(z_i)] - log(b) f(1), with df_i
-the rise of f over cell i.  As the df_i sum to f(1), with G = sigmoid(z)
-that is the literature's sup over nondecreasing G in [a/(1+a), 1/(1+b)] of
-int f' log G + (1 - f') log(1 - G) (sup_over_G), and pool-adjacent-violators
-on the cell slopes, clamped in logit, solves it exactly.
+the rise of f over cell i.  As the df_i sum to f(1), that is sum_i [df_i z_i
+- w_i softplus(z_i)]: with G = sigmoid(z), the literature's sup over
+nondecreasing G in [a/(1+a), 1/(1+b)] of int f' log G + (1 - f') log(1 - G)
+(sup_over_G), and pool-adjacent-violators on the cell slopes, clamped in
+logit, solves it exactly.  optimal_G, MonotoneStep and J_star hold G by that
+clamped logit too, G = sigmoid(level), and every path takes (log a, log b),
+so no ab, a/(1+a) or 1/(1+b) can round.
 
 Everything here computes on tuples and lists of Python floats with math,
 bisect and itertools, so importing ldp loads no NumPy.  Profile.at returns
@@ -47,7 +50,7 @@ Only finite_n_ldp_check loads NumPy, through the sampler it calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -88,9 +91,7 @@ def _mesh(knots) -> list[float]:
     """np.union1d(np.linspace(0, 1, MESH_CELLS + 1), knots), element for
     element: linspace's points are i * (1 / MESH_CELLS), the last one set to 1."""
     step = 1.0 / MESH_CELLS
-    grid = [i * step for i in range(MESH_CELLS)] + [1.0]
-    extra = [k for k in knots if grid[bisect_left(grid, k)] != k]
-    return sorted(grid + extra)  # two sorted runs, merged in linear time
+    return _union([i * step for i in range(MESH_CELLS)] + [1.0], knots)
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,10 @@ class Profile:
 
 @dataclass(frozen=True)
 class MonotoneStep:
-    """Nondecreasing right-continuous step function on [0, 1].
-
-    levels[i] is the value on [edges[i], edges[i+1]); x1 and x2, when set,
-    bound the interval where the clamp in the fan-region optimum is inactive.
+    """Nondecreasing right-continuous step function G on [0, 1], held by its
+    logit: levels[i] is logit G on [edges[i], edges[i+1]), G = sigmoid(level).
+    x1 and x2, when set, bound the interval where the clamp in the fan-region
+    optimum is inactive.
     """
 
     edges: tuple[float, ...]
@@ -174,6 +175,8 @@ class MonotoneStep:
             raise DomainError("step edges must span [0, 1]")
         if any(x1 <= x0 for x0, x1 in zip(es, es[1:])):
             raise DomainError("step edges must be strictly increasing")
+        if not all(map(math.isfinite, ls)):
+            raise DomainError("step levels must be finite logits")
         if any(l1 < l0 - 1e-12 for l0, l1 in zip(ls, ls[1:])):
             raise DomainError("step levels must be nondecreasing")
         object.__setattr__(self, "edges", es)
@@ -185,8 +188,8 @@ class MonotoneStep:
         return self.levels[min(max(i, 0), len(self.levels) - 1)]
 
     def integral_profile(self) -> Profile:
-        """The profile x -> int_0^x of this step function."""
-        areas = map(mul, _diff(self.edges), self.levels)
+        """The profile x -> int_0^x G, with G = sigmoid(level)."""
+        areas = map(mul, _diff(self.edges), map(_sigmoid, self.levels))
         return Profile(self.edges, (0.0, *accumulate(areas)))
 
 
@@ -208,12 +211,10 @@ def entropy_integral(f: Profile) -> float:
     return total
 
 
-def _min_difference(f: Profile, g: Profile) -> tuple[float, float]:
-    """(min over [0,1] of f-g, leftmost attaining point); exact at knots."""
+def _min_difference(f: Profile, g: Profile) -> float:
+    """min over [0,1] of f - g; exact at knots."""
     xs = _union(f.knots, g.knots)
-    diff = list(map(sub, f.at(xs), g.at(xs)))
-    i = _argmin(diff)
-    return diff[i], xs[i]
+    return min(map(sub, f.at(xs), g.at(xs)))
 
 
 def rate_two_line(f1: Profile, f2: Profile, a: float, b: float) -> float:
@@ -238,8 +239,20 @@ def convex_envelope(f: Profile) -> Profile:
     return Profile(tuple(x for x, _ in hull), tuple(y for _, y in hull))
 
 
+def _sigmoid(z: float) -> float:
+    return math.exp(-_softplus(-z))
+
+
+def _clamped_logit(p: float, log_a: float, log_b: float) -> float:
+    """logit p clamped to [log a, -log b]; p <= 0 and p >= 1 take the ends."""
+    if not 0.0 < p < 1.0:
+        return log_a if p <= 0.0 else -log_b
+    return min(max(math.log(p) - math.log1p(-p), log_a), -log_b)
+
+
 def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
-    """Fan-region optimal slope profile: fe' clamped to [a/(1+a), 1/(1+b)].
+    """Fan-region optimal slope profile: fe' clamped to [a/(1+a), 1/(1+b)],
+    held by its clamped logit, G = sigmoid(level).
 
     Requires ab <= 1 (the clamp interval is nonempty; it degenerates to a
     single point at ab = 1, giving a constant step).  Reports the bounds
@@ -253,20 +266,12 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
     slopes = fe.slopes
     if any(s1 < s0 - SLOPE_TOL for s0, s1 in zip(slopes, slopes[1:])):
         raise DomainError("fe must be convex (nondecreasing slopes)")
-    lo = a / (1.0 + a)
-    hi = 1.0 / (1.0 + b)
-    levels = [min(max(s, lo), hi) for s in slopes]
+    log_a, log_b = math.log(a), math.log(b)
+    levels = [_clamped_logit(s, log_a, log_b) for s in slopes]
+    lo, hi = a / (1.0 + a), 1.0 / (1.0 + b)
     # x1 = inf{x : fe'(x) >= lo}, x2 = sup{x <= 1 : fe'(x) < hi}
-    x1 = 1.0
-    for i, s in enumerate(slopes):
-        if s >= lo:
-            x1 = fe.knots[i]
-            break
-    x2 = 0.0
-    for i in range(len(slopes) - 1, -1, -1):
-        if slopes[i] < hi:
-            x2 = fe.knots[i + 1]
-            break
+    x1 = next((x for x, s in zip(fe.knots, slopes) if s >= lo), 1.0)
+    x2 = next((x for x, s in zip(fe.knots[:0:-1], slopes[::-1]) if s < hi), 0.0)
     edges = [fe.knots[0]]
     kept = []
     for i, lev in enumerate(levels):
@@ -279,15 +284,14 @@ def optimal_G(fe: Profile, a: float, b: float) -> MonotoneStep:
 
 
 def J_star(f: Profile, G: MonotoneStep) -> float:
-    """int f' log G + (1 - f') log(1 - G), exactly on the merged breakpoints."""
-    if any(not 0.0 < lev < 1.0 for lev in G.levels):
-        raise DomainError("G must stay strictly inside (0, 1)")
+    """int f' log G + (1 - f') log(1 - G), exactly on the merged breakpoints:
+    a cell of slope s where G = sigmoid(z) adds its width times s z - softplus(z)."""
     total = 0.0
     for x0, x1 in pairwise(_union(f.knots, G.edges)):
         mid = 0.5 * (x0 + x1)
         slope = f.slopes[bisect_right(f.knots, mid) - 1]
-        lev = G.at(mid)
-        total += (x1 - x0) * (slope * math.log(lev) + (1.0 - slope) * math.log1p(-lev))
+        z = G.at(mid)
+        total += (x1 - x0) * (slope * z - _softplus(z))
     return total
 
 
@@ -297,8 +301,9 @@ def J_upper(f: Profile, g: Profile, a: float, b: float) -> float:
     hg = entropy_integral(g)
     if math.isinf(hg):
         return math.inf
-    dmin, _ = _min_difference(f, g)
-    return hg + math.log(a * b) * dmin - math.log(b) * (f.endpoint() - g.endpoint())
+    dmin = _min_difference(f, g)
+    log_b = math.log(b)
+    return hg + (math.log(a) + log_b) * dmin - log_b * (f.endpoint() - g.endpoint())
 
 
 @dataclass(frozen=True)
@@ -351,34 +356,35 @@ class VariationalResult:
     gap: float
 
 
-def _sigmoid(z: float) -> float:
-    return math.exp(-_softplus(-z))
-
-
-def _per_cell(fn, z) -> list[float]:
-    """fn(z_i) for each cell, calling fn once per distinct logit: the solvers'
-    z is constant between the mass points of mu."""
-    values = {v: fn(v) for v in set(z)}
-    return list(map(values.__getitem__, z))
-
-
 def _cell_entropy(z: float) -> float:
     """h(sigmoid(z)) written sigmoid(z) z - softplus(z), which has no log 0."""
     return _sigmoid(z) * z - _softplus(z)
 
 
-def _mesh_primal(z, w, fX, log_ab, log_b) -> tuple[float, list[float]]:
+def _running_sums(xs) -> list[float]:
+    """0 and the running sums of xs, compensated (Neumaier): _mesh_primal
+    multiplies their differences by log a and log b, up to ~700 in size."""
+    out, s, c = [0.0], 0.0, 0.0
+    for x in xs:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+        out.append(s + c)
+    return out
+
+
+def _mesh_primal(z, w, fX, log_a, log_b) -> tuple[float, list[float]]:
     """J_upper and g on the mesh for cell slopes sigmoid(z)."""
-    gX = [0.0, *accumulate(map(mul, w, _per_cell(_sigmoid, z)))]
-    value = (sum(map(mul, w, _per_cell(_cell_entropy, z)))
-             + log_ab * min(map(sub, fX, gX)) - log_b * (fX[-1] - gX[-1]))
+    gX = _running_sums(map(mul, w, map(_sigmoid, z)))
+    value = (sum(map(mul, w, map(_cell_entropy, z)))
+             + (log_a + log_b) * min(map(sub, fX, gX)) - log_b * (fX[-1] - gX[-1]))
     return value, gX
 
 
-def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
-    """Logits of the minimizer, and the minimum, for log ab >= 0: for each
+def _shock_mesh_solve(X, w, fX, log_a, log_b) -> tuple[list[float], float]:
+    """Logits of the minimizer, and the minimum, for ab >= 1: for each
     point X_t, cells left of it take c = log a and cells right of it -log b."""
-    log_a = log_ab - log_b
+    log_ab = log_a + log_b
     soft_a, soft_b, end = _softplus(log_a), _softplus(-log_b), log_b * fX[-1]
     per_point = [log_ab * y - x * soft_a - (1.0 - x) * soft_b - end
                  for x, y in zip(X, fX)]
@@ -386,23 +392,16 @@ def _shock_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
     return [log_a] * t + [-log_b] * (len(w) - t), per_point[t]
 
 
-def _fan_mesh_solve(X, w, fX, log_ab, log_b) -> tuple[list[float], float]:
-    """Logits of the Lagrangian minimizer, and the dual value, for log ab <= 0.
-    The dual sum_i [df_i (z_i + log b) - w_i softplus(z_i)] - log(b) f(1), with
-    df_i the rise of f over cell i, is a Bernoulli log-likelihood in z over
-    nondecreasing z in [log a, -log b].  So sigmoid(z) is the weighted
-    pool-adjacent-violators fit of the cell slopes of f, clamped in logit."""
-    log_a = log_ab - log_b
-
-    def clamped_logit(p: float) -> float:
-        if not 0.0 < p < 1.0:
-            return log_a if p <= 0.0 else -log_b
-        return min(max(math.log(p) - math.log1p(-p), log_a), -log_b)
-
+def _fan_mesh_solve(X, w, fX, log_a, log_b) -> tuple[list[float], float]:
+    """Logits of the Lagrangian minimizer, and the dual value, for ab <= 1.
+    The dual sum_i [df_i z_i - w_i softplus(z_i)], with df_i the rise of f
+    over cell i, is a Bernoulli log-likelihood in z over nondecreasing z in
+    [log a, -log b].  So sigmoid(z) is the weighted pool-adjacent-violators
+    fit of the cell slopes of f, clamped in logit."""
     df = _diff(fX)
-    z = _per_cell(clamped_logit, _pav_nondecreasing(list(map(truediv, df, w)), w))
-    return z, (sum(d * (zi + log_b) for d, zi in zip(df, z)) - log_b * fX[-1]
-               - sum(map(mul, w, _per_cell(_softplus, z))))
+    z = [_clamped_logit(p, log_a, log_b)
+         for p in _pav_nondecreasing(list(map(truediv, df, w)), w)]
+    return z, sum(d * zi - wi * _softplus(zi) for d, wi, zi in zip(df, w, z))
 
 
 def rate_height_variational(f: Profile, a: float, b: float) -> VariationalResult:
@@ -416,10 +415,10 @@ def rate_height_variational(f: Profile, a: float, b: float) -> VariationalResult
         return VariationalResult(math.inf, Profile.linear(0.0), 0.0)
     X = _mesh(f.knots)
     w, fX = _diff(X), f.at(X)
-    log_ab, log_b = math.log(a * b), math.log(b)
-    solve = _shock_mesh_solve if log_ab >= 0.0 else _fan_mesh_solve
-    z, dual = solve(X, w, fX, log_ab, log_b)
-    primal, gX = _mesh_primal(z, w, fX, log_ab, log_b)
+    log_a, log_b = math.log(a), math.log(b)
+    solve = _shock_mesh_solve if a * b >= 1.0 else _fan_mesh_solve
+    z, dual = solve(X, w, fX, log_a, log_b)
+    primal, gX = _mesh_primal(z, w, fX, log_a, log_b)
     return VariationalResult(primal + hf - normalization_K(a, b),
                              Profile(tuple(X), tuple(gX)), primal - dual)
 
@@ -452,9 +451,8 @@ def sup_over_G(f: Profile, a: float, b: float) -> float:
     check_ab(a, b)
     if a * b > 1.0:
         raise DomainError(f"sup_over_G needs ab <= 1, got ab = {a * b:g}")
-    X, log_b = _mesh(f.knots), math.log(b)
-    # log a + log b, not log(ab): the product underflows to 0 at a = b = 1e-200
-    return _fan_mesh_solve(X, _diff(X), f.at(X), math.log(a) + log_b, log_b)[1]
+    X = _mesh(f.knots)
+    return _fan_mesh_solve(X, _diff(X), f.at(X), math.log(a), math.log(b))[1]
 
 
 @dataclass(frozen=True)

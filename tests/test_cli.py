@@ -23,6 +23,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which the json
+    module writes by default but no JSON reader need accept."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def _last_line_in_fresh_process(code, env=None):
     src = os.path.dirname(os.path.dirname(opentasep.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -62,7 +72,7 @@ class TestPhase:
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "phase", "--a", "2", "--b", "1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["region"] == "LD"
         assert payload["rho_bar"] == pytest.approx(1 / 3)
         assert payload["shock"] is True
@@ -70,7 +80,7 @@ class TestPhase:
     def test_scaling_parameterization(self, capsys):
         code, out, _ = run(capsys, "phase", "--u", "1", "--v", "-0.5", "--n", "100")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["a"] == pytest.approx(math.exp(-0.1))
 
     @pytest.mark.parametrize("argv,a", [(("--a", "1e-17", "--b", "1"), 1e-17),
@@ -79,7 +89,7 @@ class TestPhase:
         # alpha = 1/(1+a) rounds to 1 here, which only the Markov oracle refuses
         code, out, _ = run(capsys, "phase", *argv)
         assert code == 0
-        assert json.loads(out)["a"] == a
+        assert strict_json(out)["a"] == a
 
 
 class TestExitCodes:
@@ -155,7 +165,11 @@ class TestExitCodes:
           "--a", "0.5", "--b", "0.8"), None, None),
         (("ldp", "density", "--r", "0.5", "--a", "2", "--b", "2"), None, None),
         (("ldp", "check", "--n", "20", "--r", "0.3", "--a", "2", "--b", "1"), None, None),
-    ], ids=["sample", "verify", "ldp-rate", "ldp-density", "ldp-check"])
+        (("stationary", "--n", "4", "--a", "2", "--b", "1"),
+         exact_engine, "stationary_weights_recursive"),
+        (("fluct", "--n", "16", "--u", "0", "--v", "0", "--count", "10", "--seed", "1"),
+         fluctuations, "sample_scaled_processes"),
+    ], ids=["sample", "verify", "ldp-rate", "ldp-density", "ldp-check", "stationary", "fluct"])
     def test_empty_output_path_refused(self, capsys, monkeypatch, argv, module, stage):
         def work(*args, **kwargs):
             raise AssertionError("work started before the output was checked")
@@ -164,7 +178,7 @@ class TestExitCodes:
             monkeypatch.setattr(module, stage, work)
         code, out, err = run(capsys, *argv, "--out", "")
         assert code == 1 and out == ""
-        assert err.startswith("usage error: cannot write output") and err.count("\n") == 1
+        assert err == "usage error: cannot write output: empty path\n"
 
     @pytest.mark.parametrize("argv,want", [
         (("sample", "--count", "0"), 2),
@@ -276,7 +290,7 @@ class TestStationary:
         code, out, _ = run(capsys, "stationary", "--n", "2", "--alpha", "0.5",
                            "--beta", "0.5", "--out", str(tmp_path))
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["z"] == pytest.approx(16.0)
         lines = (tmp_path / "weights.csv").read_text().splitlines()
         assert len(lines) == 5
@@ -296,7 +310,7 @@ class TestStationary:
         code, out, err = run(capsys, "stationary", "--n", "14", "--a", "100", "--b", "100",
                              "--out", str(tmp_path))
         assert code == 0
-        assert json.loads(out)["matrix_route_max_rel_error"] > cli.TOLERANCES["matrix"]
+        assert strict_json(out)["matrix_route_max_rel_error"] > cli.TOLERANCES["matrix"]
         assert err.startswith("warning: matrix-product route") and err.count("\n") == 1
         code, _, err = run(capsys, "stationary", "--n", "6", "--a", "2", "--b", "1",
                            "--out", str(tmp_path))
@@ -316,7 +330,7 @@ class TestVerify:
         report = tmp_path / "r.json"
         code, out, _ = run(capsys, "verify", "--n-max", "4", "--out", str(report))
         assert code == 0
-        payload = json.loads(report.read_text())
+        payload = strict_json(report.read_text())
         assert payload["passed"] is True
         assert set(payload["worst"]) == {"marginal", "identity", "matrix", "generator"}
         assert all(isinstance(c["marginal_max_abs_error"], float)
@@ -333,7 +347,7 @@ class TestVerify:
     def test_n_max_11_passes(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         code, _, _ = run(capsys, "verify", "--n-max", "11", "--out", str(report))
-        payload = json.loads(report.read_text())
+        payload = strict_json(report.read_text())
         assert code == 0
         assert payload["passed"] is True
 
@@ -361,7 +375,7 @@ class TestSample:
         code, out, _ = run(capsys, "sample", "--n", "2", "--alpha", "0.5",
                            "--beta", "0.5", "--count", "2", "--seed", "1",
                            "--out", str(tmp_path / "s.csv"))
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["log_c"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -371,13 +385,13 @@ class TestFluct:
                 "--limit-count", "8000", "--seed", "7")
         code, out1, _ = run(capsys, *args, "--out", str(tmp_path / "f1"))
         assert code == 0
-        payload = json.loads(out1)
+        payload = strict_json(out1)
         assert "kappa_hat" in payload and "w_minus_vs_limit" in payload
         assert set(payload["w_minus_vs_limit"]) == {"0.25", "0.5", "0.75", "1.0"}
         for rep in payload["w_minus_vs_limit"].values():
             assert 0 <= rep["ks"] <= 1 and rep["w1"] >= 0
         code, out2, _ = run(capsys, *args, "--out", str(tmp_path / "f2"))
-        p1, p2 = json.loads(out1), json.loads(out2)
+        p1, p2 = strict_json(out1), strict_json(out2)
         p1.pop("files"), p2.pop("files")
         assert p1 == p2
         csv1 = (tmp_path / "f1" / "tle_w1.csv").read_bytes()
@@ -437,7 +451,7 @@ class TestLdp:
         code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
                            "--a", "0.5", "--b", "0.5")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["rate"] == pytest.approx(math.log(2), rel=1e-12)
         assert payload["region"] == "fan"
         assert "diagnostics" in payload
@@ -447,7 +461,7 @@ class TestLdp:
         prof.write_text("x,f\n0,0\n1,1\n")
         code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
                            "--a", "1", "--b", "1", "--variational")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert abs(payload["variational"]["rate"] - payload["rate"]) <= 1e-3
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
@@ -492,7 +506,7 @@ class TestLdp:
 
     def test_density(self, capsys):
         code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", "2", "--b", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert abs(payload["rate"]) <= 1e-12
 
     def test_huge_a_rate_variational(self, capsys, tmp_path):
@@ -501,20 +515,20 @@ class TestLdp:
         code, out, _ = run(capsys, "ldp", "rate", "--profile", str(prof),
                            "--a", "1e200", "--b", "1", "--variational")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert math.isfinite(payload["rate"]) and math.isfinite(payload["variational"]["rate"])
 
     def test_huge_a_density(self, capsys):
         code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", "1e200", "--b", "1")
         assert code == 0
-        assert math.isfinite(json.loads(out)["rate"])
+        assert math.isfinite(strict_json(out)["rate"])
 
     @pytest.mark.parametrize("a,b", [("1e200", "1e200"), ("1e160", "1e170")])
     def test_huge_shock_density(self, capsys, a, b):
         # the shock middle branch in logs: a*b beyond the double range
         code, out, _ = run(capsys, "ldp", "density", "--r", "0.5", "--a", a, "--b", b)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert math.isfinite(payload["rate"])
         assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-3
 
@@ -524,13 +538,34 @@ class TestLdp:
         # outer branches where b/(1+b) or 1/(1+a) rounds to 1
         code, out, _ = run(capsys, "ldp", "density", "--r", r, "--a", a, "--b", b)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert abs(payload["rate"] - payload["variational_rate"]) <= 1e-9
+
+    @pytest.mark.parametrize("profile", ["c7_fan", "c7_shock", "kink"])
+    @pytest.mark.parametrize("a,b", [("1e20", "1e-21"), ("0.5", "1e-17"), ("1e-200", "1e-200"),
+                                     ("1e160", "1e160"), ("1e300", "1e-300"),
+                                     ("1e-300", "1e300")])
+    def test_extreme_ab_rate(self, capsys, tmp_path, a, b, profile):
+        # ab, a/(1+a) or 1/(1+b) round to 0, 1 or inf here, and the kink's
+        # slope-1 piece meets the upper clamp: both rates stay finite and agree
+        if profile == "kink":
+            path = tmp_path / "kink.csv"
+            path.write_text("x,f\n0,0\n0.5,0\n1,0.5\n")
+        else:
+            path = os.path.join(PROFILES, f"{profile}.csv")
+        code, out, err = run(capsys, "ldp", "rate", "--profile", str(path), "--a", a,
+                             "--b", b, "--variational")
+        assert code == 0, err
+        payload = strict_json(out)
+        rate, var = payload["rate"], payload["variational"]
+        bound = 1e-10 * max(1.0, abs(rate))
+        assert abs(rate - var["rate"]) <= bound
+        assert abs(var["gap"]) <= bound
 
     def test_check(self, capsys):
         code, out, _ = run(capsys, "ldp", "check", "--n", "50", "--r", "0.5",
                            "--a", "1", "--b", "1")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["gap"] == pytest.approx(payload["empirical_rate"], rel=1e-12)
 
     def test_missing_subcommand(self, capsys):
@@ -544,7 +579,7 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(cfg), "stationary",
                            "--out", str(tmp_path))
         assert code == 0
-        assert json.loads(out)["z"] == pytest.approx(16.0)
+        assert strict_json(out)["z"] == pytest.approx(16.0)
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -552,7 +587,7 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(cfg), "stationary",
                            "--n", "1", "--out", str(tmp_path))
         assert code == 0
-        assert json.loads(out)["n_sites"] == 1
+        assert strict_json(out)["n_sites"] == 1
 
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -582,7 +617,7 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(cfg), "sample", "--n", "3", "--a", "1",
                            "--b", "1", "--out", str(tmp_path / "s.csv"))
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert (payload["count"], payload["seed"]) == (5, 1)
 
     def test_config_after_command(self, capsys, tmp_path):
@@ -590,7 +625,7 @@ class TestConfigFile:
         cfg.write_text("a = 2\nb = 1\n")
         code, out, _ = run(capsys, "phase", "--config", str(cfg))
         assert code == 0
-        assert json.loads(out)["region"] == "LD"
+        assert strict_json(out)["region"] == "LD"
 
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.cfg", "phase",

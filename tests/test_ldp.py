@@ -29,6 +29,10 @@ from opentasep.rng import stream
 import opentasep
 
 
+# a slope-0 piece then a slope-1 piece: the clamp takes both ends of the band
+KINK = Profile((0.0, 0.5, 1.0), (0.0, 0.0, 0.5))
+
+
 def random_profile(rng, n_pieces, mesh=200):
     """Random admissible piecewise-linear profile with knots on the mesh."""
     ks = np.sort(rng.choice(np.arange(1, mesh), size=n_pieces - 1, replace=False)) / mesh
@@ -102,6 +106,13 @@ class TestRateTwoLine:
                 f2 = random_profile(rng, 4)
                 assert rate_two_line(f1, f2, a, b) >= -1e-10
 
+    @pytest.mark.parametrize("a,b", [(1e-200, 1e-200), (1e160, 1e160)])
+    def test_finite_where_ab_under_or_overflows(self, a, b):
+        # ab rounds to 0 or inf; log a + log b does not
+        f, g = Profile.linear(0.3), Profile((0.0, 0.5, 1.0), (0.0, 0.25, 0.4))
+        assert math.isfinite(J_upper(f, g, a, b))
+        assert math.isfinite(rate_two_line(f, g, a, b))
+
 
 class TestConvexEnvelope:
     def test_identity_on_convex(self):
@@ -128,18 +139,19 @@ class TestConvexEnvelope:
 
 
 class TestOptimalG:
+    # levels are logits of G: G = 1/2 is level 0, G = a/(1+a) is level log a
     def test_degenerate_interval_at_triple_point(self):
         g = optimal_G(Profile.linear(0.5), 1.0, 1.0)
-        assert g.levels == (0.5,)
+        assert g.levels == (0.0,)
 
     def test_no_clamping(self):
         g = optimal_G(Profile.linear(0.5), 0.5, 0.5)
-        assert g.levels == (0.5,)
+        assert g.levels == (0.0,)
         assert g.x1 == 0.0 and g.x2 == 1.0
 
     def test_clamp_at_lower_bound(self):
         g = optimal_G(Profile.linear(0.0), 0.5, 0.5)
-        assert g.levels == (pytest.approx(1 / 3),)
+        assert g.levels == (pytest.approx(math.log(0.5)),)
         assert g.x1 == 1.0  # inf of an empty set
 
     def test_shock_rejected(self):
@@ -154,12 +166,12 @@ class TestOptimalG:
 
 class TestJFunctionals:
     def test_constant_half(self):
-        half = MonotoneStep((0.0, 1.0), (0.5,))
+        half = MonotoneStep((0.0, 1.0), (0.0,))  # G = sigmoid(0) = 1/2
         f = Profile((0.0, 0.3, 1.0), (0.0, 0.3, 0.65))
         assert J_star(f, half) == pytest.approx(-math.log(2), rel=1e-14)
 
     def test_matched_slope(self):
-        g = MonotoneStep((0.0, 1.0), (0.3,))
+        g = MonotoneStep((0.0, 1.0), (math.log(0.3 / 0.7),))
         assert J_star(Profile.linear(0.3), g) == pytest.approx(entropy_h(0.3), rel=1e-14)
 
     def test_contact_identity(self):
@@ -178,8 +190,9 @@ class TestJFunctionals:
         assert J_star(fe, gs) == pytest.approx(J_star(f, gs), abs=1e-14)
 
     def test_touching_levels_rejected(self):
+        # G = 1 is the logit +inf, which a step refuses
         with pytest.raises(DomainError):
-            J_star(Profile.linear(0.5), MonotoneStep((0.0, 1.0), (1.0,)))
+            J_star(Profile.linear(0.5), MonotoneStep((0.0, 1.0), (math.inf,)))
 
     def test_j_upper_at_integral_of_g_star(self):
         rng = stream(43, 0)
@@ -235,8 +248,8 @@ class TestMonotoneChain:
                 edges = tuple(np.concatenate([[0.0], inner, [1.0]]))
             else:
                 edges = (0.0, 1.0)
-            levels = tuple(np.sort(rng.uniform(lo, hi, size=k)))
-            G = MonotoneStep(edges, levels)
+            p = np.sort(rng.uniform(lo, hi, size=k))
+            G = MonotoneStep(edges, tuple(np.log(p) - np.log1p(-p)))  # logits of G
             g_star = optimal_G(fe, a, b)
             j_f = J_star(f, G)
             j_fe = J_star(fe, G)
@@ -324,15 +337,16 @@ class TestSupOverG:
             assert abs(sup_over_G(f, a, b) - closed) <= 1e-3
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.8), (0.2, 3.0), (1e-3, 7.0), (1.0, 1.0),
-                                     (2.0, 0.5), (1e-17, 1e15), (1e-200, 1e100)])
+                                     (2.0, 0.5), (1e-17, 1e15), (1e-200, 1e100),
+                                     (1e20, 1e-21), (0.5, 1e-17)])
     def test_height_rate_is_sup_over_G(self, a, b):
         # the height rate is int h(f') + sup_G - K on the fan half; at ab = 1
         # the variational rate takes the shock solver and sup_over_G the fan one
         from opentasep.ldp import entropy_integral
 
         rng = stream(49, 0)
-        for _ in range(20):
-            f = random_profile(rng, int(rng.integers(2, 9)))
+        randoms = [random_profile(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        for f in [KINK, *randoms]:
             rate = rate_height_variational(f, a, b).rate
             literature = entropy_integral(f) + sup_over_G(f, a, b) - normalization_K(a, b)
             assert abs(rate - literature) <= 1e-13 * max(1.0, abs(rate))
@@ -496,11 +510,11 @@ class TestHeightRateVariational:
             assert abs(res.rate - rate_height_report(f, a, b).rate) <= 1e-13
 
     def test_tiny_clamp_interval_bounds(self):
-        # a/(1+a) and 1/(1+b) both below 1e-15: the clamp keeps them apart
-        f = Profile((0.0, 0.5, 1.0), (0.0, 0.0, 0.5))
-        for a, b in [(1e-17, 1e15), (1e-200, 1e100)]:
-            closed = rate_height_report(f, a, b).rate
-            assert abs(rate_height_variational(f, a, b).rate - closed) <= 1e-8
+        # a/(1+a) and 1/(1+b) both below 1e-15, or both rounding to 1 (the
+        # first two), or 1/(1+b) alone rounding to 1: the clamp keeps them apart
+        for a, b in [(1e-17, 1e15), (1e-200, 1e100), (1e20, 1e-21), (0.5, 1e-17)]:
+            closed = rate_height_report(KINK, a, b).rate
+            assert abs(rate_height_variational(KINK, a, b).rate - closed) <= 1e-8
 
     def test_independent_of_closed_form(self, monkeypatch):
         import opentasep.ldp as ldp
