@@ -17,6 +17,10 @@ where r counts remaining steps and the difference increment takes values
 lines).  The classical value function over (step j, difference d, running
 minimum m) is recovered as V_j(d, m) = -m log a + log L_{N-j}(d - m).
 
+The table build runs this in logs with each row shifted to start at 0, and
+reads the step conditionals off the same exponentials as each entry's
+log-sum-exp, so their error does not grow with log L_r(0) (see _log_l_rows).
+
 Forward sampling draws each step from one uniform u, cut by the exact
 conditionals the L-ratios give: with h = P(0)/2, the joint increments (0,0),
 (1,0), (1,1), (0,1) take u in [0, h), [h, h + P(+1)), [h + P(+1), P(+1) + P(0))
@@ -30,7 +34,6 @@ requested path positions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +47,6 @@ ENDPOINT_CAP = 120
 TABLE_BYTES_CAP = 6 * 10 ** 9   # bytes of the full table (~8 N^2) and of stored paths
 CHUNK = 1 << 15
 CSV_BLOCK_BYTES = 1 << 20   # bytes of preformatted rows SamplePaths.write_csv holds at once
-
-LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,43 @@ class PartitionTable:
         return float(self.log_l[self.n_sites]) - self.n_sites * math.log(4.0)
 
 
-def _log_l_rows(n: int, a: float, b: float, log_b: float):
-    """Yield rows r = 0..n of log L_r; row r is valid on q = 0..n-r+1."""
-    row = np.arange(n + 2, dtype=float) * log_b
-    yield row
-    log_2pa = math.log(2.0 + a)
+def _log_l_rows(n: int, log_a: float, log_b: float, table: PartitionTable | None = None):
+    """Yield (log L_r(0), row r of log L_r(q) - log L_r(0)) for r = 0..n.
+
+    Row r is valid on q = 0..n-r+1 and starts with 0: keeping each row shifted
+    keeps its entries small, and the shifts sum to log L_r(0).  Each new entry
+    is m + log(s) with s = e^(up-m) + 2 e^(mid-m) + e^(down-m) over the three
+    terms of the recursion and m their largest; at q = 0 the down term is the
+    reflection row[0] + log a.  With a table, the same exponentials give row
+    r's conditionals P(+1) = e^(up-m)/s and P(0) = 2 e^(mid-m)/s, written into
+    its packed prob_up and prob_flat rows.
+    """
+    offset = 0.0
+    # lead[0] holds the reflection's down term at q = 0, lead[1:] the row
+    lead = np.empty(n + 3)
+    lead[0] = log_a
+    lead[1:] = np.arange(n + 2) * log_b
+    yield offset, lead[1:]
     for r in range(1, n + 1):
-        width = n - r + 1  # last valid column of the new row
-        prev = row
-        nxt = np.full(n + 2, -np.inf)
-        up = prev[2 : width + 2]
-        down = prev[0:width]
-        nxt[1 : width + 1] = np.logaddexp(LOG2 + prev[1 : width + 1], np.logaddexp(up, down))
-        nxt[0] = np.logaddexp(log_2pa + prev[0], prev[1])
-        yield nxt
-        row = nxt
+        width = n - r + 2
+        down, mid, up = lead[:width], lead[1 : width + 1], lead[2 : width + 2]
+        m = np.maximum(np.maximum(up, mid), down)
+        e_up = np.exp(up - m)
+        e_flat = np.exp(mid - m)
+        e_flat *= 2.0
+        s = e_up + e_flat
+        s += np.exp(down - m)
+        if table is not None:
+            cells = table.row(r)
+            np.divide(e_up, s, out=table.prob_up[cells])
+            np.divide(e_flat, s, out=table.prob_flat[cells])
+        np.log(s, out=s)
+        s += m  # row r less the shift of row r-1
+        offset += s[0]
+        lead = np.empty(width + 1)
+        lead[0] = log_a
+        np.subtract(s, s[0], out=lead[1:])
+        yield offset, lead[1:]
 
 
 def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
@@ -102,28 +125,19 @@ def build_partition_table(n: int, a: float, b: float, log_c_only: bool = False):
     """
     check_size(n, BUILD_CAP)
     check_ab(a, b)
-    a, b = float(a), float(b)
-    log_b = math.log(b)
+    log_a, log_b = math.log(a), math.log(b)
     if log_c_only:
-        for row in _log_l_rows(n, a, b, log_b):
-            last = row
-        return float(last[0]) - n * math.log(4.0)
+        for log_l, _ in _log_l_rows(n, log_a, log_b):
+            pass
+        return float(log_l) - n * math.log(4.0)
     size = (n + 1) * (n + 4) // 2
     check_bytes(16 * size + 8 * (n + 1), TABLE_BYTES_CAP,
                 f"building the full table for n={n}")
     prob_up, prob_flat = np.empty((2, size))
-    log_l = np.empty(n + 1)
-    table = PartitionTable(n_sites=n, log_l=log_l, prob_up=prob_up, prob_flat=prob_flat)
+    table = PartitionTable(n_sites=n, log_l=np.empty(n + 1), prob_up=prob_up, prob_flat=prob_flat)
     prob_up[table.row(0)] = prob_flat[table.row(0)] = np.nan
-    # exact step conditionals: P(+1) = L_{r-1}(q+1)/L_r(q), P(0) = 2 L_{r-1}(q)/L_r(q)
-    for r, row in enumerate(_log_l_rows(n, a, b, log_b)):
-        cells = table.row(r)
-        cur = row[: n - r + 2]
-        log_l[r] = cur[0]
-        if r:
-            prob_up[cells] = np.exp(prev[1:] - cur)
-            prob_flat[cells] = np.exp(LOG2 + prev[:-1] - cur)
-        prev = cur
+    for r, (log_l, _) in enumerate(_log_l_rows(n, log_a, log_b, table)):
+        table.log_l[r] = log_l
     return table
 
 
@@ -222,6 +236,8 @@ def _run_chunks(count, seed, threads, width, dtype, record):
 
     jobs = list(enumerate(range(0, count, CHUNK)))
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, jobs))
     else:

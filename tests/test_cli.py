@@ -57,6 +57,18 @@ def test_import_does_not_load_scipy():
     assert _last_line_in_fresh_process(code) == "False"
 
 
+def test_one_thread_does_not_load_thread_pool(tmp_path):
+    # sample and fluct at --threads 1 never start a pool, so they do not pay
+    # for importing concurrent.futures
+    for argv in (["sample", "--n", "20", "--a", "0.5", "--b", "0.8", "--count", "10",
+                  "--seed", "1", "--out", str(tmp_path / "s.csv")],
+                 ["fluct", "--n", "64", "--u", "-1", "--v", "0.3", "--count", "100",
+                  "--seed", "1", "--out", str(tmp_path / "fluct")]):
+        code = (f"import sys; from opentasep.cli import main; code = main({argv!r}); "
+                "print(code, 'concurrent.futures' in sys.modules)")
+        assert _last_line_in_fresh_process(code) == "0 False", argv
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
 def test_openblas_threads_default(preset, want):
     # main pins OpenBLAS to one thread unless the user already chose

@@ -14,6 +14,7 @@ import numpy as np
 
 from opentasep import (
     build_partition_table,
+    params_from_scaling,
     sample_functionals,
     sample_two_line,
     simulate_limit_exact,
@@ -40,6 +41,18 @@ def test_sampler_functionals():
         "ca3139cd4fb586e2cd1ccde22c72c23f6d547332d7cef5fb29466b5695a374c1")
     assert digest(d, "<i4") == (
         "3ca06d07151f0aa07081b26bfe9084e104d897d32667f2e18c06db73c74b7aa0")
+
+
+def test_sampler_functionals_at_fluct_n():
+    # fluct's n and window over 2000 x 2048 steps: a table build whose
+    # conditionals move a cut past any of these uniforms changes the digest
+    p = params_from_scaling(-1.0, 0.3, 2048)
+    s1, d = sample_functionals(build_partition_table(2048, p.a, p.b), 2000, seed=1,
+                               positions=[512, 1024, 1536, 2048])
+    assert digest(s1, "<i4") == (
+        "621cfbfbf9314a92b827e58bf1052c740dae698fd277da4286316e2e6588c92b")
+    assert digest(d, "<i4") == (
+        "c0d39cb47678a12be53b27b305a871c645b5c3c020c575028e3166600294343a")
 
 
 def test_limit_paths():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -37,16 +38,67 @@ def log_c_plain(n, a, b):
     return math.log(row[0]) - n * math.log(4.0)
 
 
+def exact_l_rows(n, a, b):
+    """Rows r = 0..n of the backward recursion in exact integers: with
+    a = an/ad and b = bn/bd in lowest terms, row r holds
+    M_r(q) = ad^r bd^(n+1) L_r(q) on q = 0..n-r+1."""
+    a, b = Fraction(a), Fraction(b)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    row = [bn**q * bd ** (n + 1 - q) for q in range(n + 2)]
+    yield row
+    for r in range(1, n + 1):
+        row = [(2 * ad + an) * row[0] + ad * row[1]] + [
+            ad * (row[q - 1] + 2 * row[q] + row[q + 1]) for q in range(1, n - r + 2)]
+        yield row
+
+
+def exact_log_c(n, a, b):
+    """log c = log L_n(0) - n log 4 from the exact integer rows."""
+    for row in exact_l_rows(n, a, b):
+        pass
+    a, b = Fraction(a), Fraction(b)
+    return (math.log(row[0]) - n * math.log(a.denominator)
+            - (n + 1) * math.log(b.denominator) - n * math.log(4.0))
+
+
+def conditional_errors(table, a, b, rel=False):
+    """Worst error of the table's prob_up and prob_flat against the exact
+    conditionals L_{r-1}(q+1)/L_r(q) and 2 L_{r-1}(q)/L_r(q), absolute, or
+    relative where the exact value is above 1e-300.  Every entry must be a
+    probability."""
+    ad = Fraction(a).denominator
+    worst = 0.0
+    rows = exact_l_rows(table.n_sites, a, b)
+    prev = next(rows)
+    for r, row in enumerate(rows, 1):
+        cells = table.row(r)
+        for got, nums, mult in ((table.prob_up[cells], prev[1:], ad),
+                                (table.prob_flat[cells], prev, 2 * ad)):
+            assert np.isfinite(got).all() and ((0.0 <= got) & (got <= 1.0)).all()
+            for p, num, den in zip(got.tolist(), nums, row):
+                num *= mult
+                pn, pd = p.as_integer_ratio()
+                diff = abs(pn * den - num * pd)  # |p - num/den| = diff / (pd den)
+                if not rel:
+                    worst = max(worst, diff / (pd * den))
+                elif num / den > 1e-300:
+                    worst = max(worst, diff / (pd * num))
+        prev = row
+    return worst
+
+
 def log_value(rows, a, j, d, m):
     """Log partition value V_j(d, m) = -m log a + log L_{n-j}(d - m) over
     suffixes of a state with difference d and running minimum m after j of
-    n = len(rows) - 1 steps, read from the rows of _log_l_rows."""
+    n = len(rows) - 1 steps, read from the (log L_r(0), shifted row) pairs of
+    _log_l_rows."""
     n = len(rows) - 1
     if not 0 <= j <= n:
         raise DomainError(f"step index {j} outside 0..{n}")
     if abs(d) > j or m > min(0, d) or m < -j or d - m > j:
         raise DomainError(f"state (d={d}, m={m}) unreachable at step {j}")
-    return -m * math.log(a) + float(rows[n - j][d - m])
+    offset, row = rows[n - j]
+    return -m * math.log(a) + offset + float(row[d - m])
 
 
 def joint_counts(paths, n):
@@ -76,7 +128,7 @@ class TestPartitionTable:
         # V_j(d, m) satisfies the backward recurrence with multiplicities
         # (1, 2, 1) and terminal values d log b - m log(ab)
         a, b = 2.0, 0.5
-        rows = list(_log_l_rows(4, a, b, math.log(b)))
+        rows = list(_log_l_rows(4, math.log(a), math.log(b)))
         for j in range(4):
             for d in range(-j, j + 1):
                 for m in range(-j, min(0, d) + 1):
@@ -98,7 +150,7 @@ class TestPartitionTable:
                 )
 
     def test_value_rejects_unreachable(self):
-        rows = list(_log_l_rows(4, 2.0, 0.5, math.log(0.5)))
+        rows = list(_log_l_rows(4, math.log(2.0), math.log(0.5)))
         with pytest.raises(DomainError):
             log_value(rows, 2.0, 1, 2, 0)
         with pytest.raises(DomainError):
@@ -121,24 +173,43 @@ class TestPartitionTable:
     @pytest.mark.parametrize("a,b", [(0.5, 2.0), (0.3, 0.45)])
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_packed_rows(self, n, a, b):
-        # row r of the packed probabilities is the step conditionals of the
-        # recursion's rows r-1 and r, cut to the n-r+2 valid columns; log_l[r]
+        # row r of the packed probabilities is the exact step conditionals of
+        # rows r-1 and r of the recursion on the n-r+2 valid columns; log_l[r]
         # is log L_r(0), the log c of an r-site system times 4^r; the arrays
         # hold 8 (n+1)(n+4) + 8 (n+1) bytes
         t = build_partition_table(n, a, b)
-        for r, row in enumerate(_log_l_rows(n, a, b, math.log(b))):
-            cur = row[: n - r + 2]
-            if r:
-                assert np.array_equal(t.prob_up[t.row(r)], np.exp(prev[1:] - cur))
-                assert np.array_equal(t.prob_flat[t.row(r)],
-                                      np.exp(math.log(2.0) + prev[:-1] - cur))
-                assert t.log_l[r] - r * math.log(4.0) == build_partition_table(
-                    r, a, b, log_c_only=True)
-            prev = cur
+        assert conditional_errors(t, a, b) <= 1.5e-14
+        for r in range(1, n + 1):
+            assert t.prob_up[t.row(r)].size == n - r + 2
+            assert t.log_l[r] - r * math.log(4.0) == build_partition_table(
+                r, a, b, log_c_only=True)
+        assert np.isnan(t.prob_up[t.row(0)]).all() and np.isnan(t.prob_flat[t.row(0)]).all()
         assert t.log_l[0] == 0.0
         assert t.log_c == build_partition_table(n, a, b, log_c_only=True)
         nbytes = t.log_l.nbytes + t.prob_up.nbytes + t.prob_flat.nbytes
         assert nbytes == 8 * (n + 1) * (n + 4) + 8 * (n + 1)
+
+    @pytest.mark.parametrize("n,a,b", [(200, 0.5, 0.75), (200, 2.0, 1.5), (200, 1.0, 1.0),
+                                       (150, 0.125, 4.0)])
+    def test_conditionals_match_exact(self, n, a, b):
+        # dyadic (a, b) are exact in floats, so the table's conditionals are
+        # compared with the exact rational ones; each row is held relative to
+        # its q = 0 entry, so the error does not grow with log L_r(0)
+        assert conditional_errors(build_partition_table(n, a, b), a, b) <= 1.5e-14
+
+    @pytest.mark.parametrize("a,b", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e-300),
+                                     (1e300, 1e300)])
+    def test_conditionals_at_extreme_ab(self, a, b):
+        # finite probabilities, relatively exact wherever they are not
+        # vanishingly small; a and b are compared at their float values
+        assert conditional_errors(build_partition_table(30, a, b), a, b, rel=True) <= 1e-11
+
+    @pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(4, 5)), (Fraction(2), Fraction(3, 2)),
+                                     (Fraction(1, 4), Fraction(4))])
+    def test_log_c_exact_at_n_1000(self, a, b):
+        # 100x enumeration's n, against the recursion in exact integers
+        log_c = build_partition_table(1000, float(a), float(b), log_c_only=True)
+        assert abs(log_c - exact_log_c(1000, a, b)) <= 1e-10
 
     def test_build_memory(self):
         # the build holds the packed table plus O(n) rows, no dense temporary
