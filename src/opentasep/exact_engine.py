@@ -108,9 +108,6 @@ class TwoLineTable:
     (i, j); c is the normalizing constant sum(joint) / 4^N.
     """
 
-    n_sites: int
-    a: float
-    b: float
     joint: np.ndarray
     c: float
 
@@ -213,45 +210,45 @@ def two_line_weight(s1, s2, a, b):
 def f_n_enumerate(tau, a, b):
     """Sum of pair weights over every second walk; equals p_N(tau).
 
-    A Fraction a or b gives an exact sum: the walks are grouped by their
-    (d_N, min_j d_j), on which alone the pair weight depends, and each group
-    adds count * b^(d_N) (ab)^(-min d).
+    A float for float a and b; a Fraction a or b gives an exact Fraction sum.
     """
     bits = check_bits(tau)
     n = len(bits)
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
-    a, b = _arithmetic(a, b)
     s1 = np.concatenate([[0], np.cumsum(bits)])
     heights = np.ascontiguousarray(all_height_paths(n).T)
-    if isinstance(a, float):
-        return float(np.sum(_pair_weight_row(s1, heights, a, b)))
-    keys, counts = np.unique(np.stack(_end_and_min(s1, heights)), axis=1, return_counts=True)
-    return sum((count * b ** d * (a * b) ** (-m)
-                for (d, m), count in zip(keys.T.tolist(), counts.tolist())), Fraction(0))
+    row = _pair_weight_row(s1, heights, _weight_grid(n, *_arithmetic(a, b)))
+    return np.sum(row, keepdims=True).item()
 
 
-def _end_and_min(s1: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """End value and minimum of the difference walk s1 - s2 for every column
-    s2 of `heights`, all_height_paths transposed to C order: each path's
-    minimum then runs across n+1 rows, much faster than along 2^n short rows."""
+def _weight_grid(n: int, a, b) -> np.ndarray:
+    """grid[n + d, -m] = b^d (ab)^(-m), the weight of every pair whose
+    difference walk ends at d with minimum m; exact (object) entries for
+    Fraction a, b, since a Fraction to an ndarray power falls back to float.
+    Cells that no pair (or no pair with the caller's s1) reaches may overflow."""
+    dtype = object if isinstance(a, Fraction) else float
+    ends = np.arange(-n, n + 1).astype(dtype)
+    depths = np.arange(n + 1).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(b, dtype) ** ends[:, None] * np.asarray(a * b, dtype) ** depths
+
+
+def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Pair weights of the height path s1 against every column s2 of `heights`
+    (all_height_paths transposed to C order, so each minimum runs across n+1
+    rows, not along 2^n short ones), looked up in `grid` (_weight_grid)."""
     diff = s1[:, None] - heights
-    return diff[-1], diff.min(axis=0)
-
-
-def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Pair weights of the height path s1 against every column of `heights`."""
-    d, mins = _end_and_min(s1, heights)
-    return b ** d.astype(float) * (a * b) ** (-mins.astype(float))
+    return grid[diff[-1] + len(s1) - 1, -diff.min(axis=0)]
 
 
 def _pair_weight_rows(n: int, a: float, b: float):
     """The joint table's rows, one at a time, in configuration-index order."""
     check_size(n, PAIR_ENUMERATION_CAP)
     check_ab(a, b)
-    a, b = float(a), float(b)
+    grid = _weight_grid(n, float(a), float(b))
     heights = np.ascontiguousarray(all_height_paths(n).T)
-    return (_pair_weight_row(heights[:, i], heights, a, b) for i in range(1 << n))
+    return (_pair_weight_row(heights[:, i], heights, grid) for i in range(1 << n))
 
 
 def f_n_enumerate_all(n: int, a: float, b: float) -> np.ndarray:
@@ -264,7 +261,7 @@ def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
     size = 1 << n
     joint = np.fromiter(_pair_weight_rows(n, a, b), dtype=(float, size), count=size)
     c = joint.sum() / 4.0 ** n
-    return TwoLineTable(n_sites=n, a=float(a), b=float(b), joint=joint, c=c)
+    return TwoLineTable(joint=joint, c=c)
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,8 @@ def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:
 
     Forward DP over (gap q, height k): the running-minimum factor a^(-m)
     accumulates multiplicatively at reflections, and the terminal weight
-    contributes b^q.
+    contributes b^q.  The law stays in log space because its tails fall below
+    the smallest double at accepted (a, b).
     """
     check_size(n, ENDPOINT_CAP)
     check_ab(a, b)

@@ -580,6 +580,15 @@ class TestLdp:
         payload = strict_json(out)
         assert payload["gap"] == pytest.approx(payload["empirical_rate"], rel=1e-12)
 
+    def test_check_extreme_ab(self, capsys):
+        # 9 of the 11 endpoint probabilities lie below the smallest double
+        code, out, err = run(capsys, "ldp", "check", "--n", "10", "--r", "0.5",
+                             "--a", "1e-200", "--b", "1e200")
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["empirical_rate"] == pytest.approx(229.7055663906534, rel=1e-12)
+        assert math.isfinite(payload["closed_rate"]) and math.isfinite(payload["gap"])
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys, "ldp")[0] == 1
 

@@ -16,7 +16,13 @@ from opentasep import (
     two_line_weight,
     verify_marginal_identity,
 )
-from opentasep.exact_engine import all_height_paths, config_bits, f_n_enumerate_all
+from opentasep import cli
+from opentasep.exact_engine import (
+    _pair_weight_rows,
+    all_height_paths,
+    config_bits,
+    f_n_enumerate_all,
+)
 from opentasep.two_line_sampler import build_partition_table
 
 
@@ -155,11 +161,14 @@ class TestPairSum:
                     assert abs(f - t.weights[i]) <= 1e-12 * t.weights[i]
 
     def test_identity_exact_rational(self):
-        a, b = Fraction(2), Fraction(1, 2)
-        for n in range(1, 7):
-            t = stationary_weights_recursive(n, a, b)
-            for i in range(1 << n):
-                assert f_n_enumerate(t.config(i), a, b) == t.weights[i]
+        # one Fraction makes the sum exact; 1.25 is the dyadic 5/4
+        for a, b in [(Fraction(2), Fraction(1, 2)), (Fraction(1, 3), 1.25)]:
+            for n in range(1, 7):
+                t = stationary_weights_recursive(n, a, b)
+                for i in range(1 << n):
+                    f = f_n_enumerate(t.config(i), a, b)
+                    assert isinstance(f, Fraction)
+                    assert f == t.weights[i]
 
 
 class TestEnumeration:
@@ -191,12 +200,23 @@ class TestEnumeration:
             rep = verify_marginal_identity(n, a, b, 1e-10)
             assert rep.passed, (n, a, b, rep.max_abs_error)
 
-    @pytest.mark.parametrize("a,b", [(2.0, 0.5), (0.3, 0.45)])
+    @pytest.mark.parametrize("a,b", [(2.0, 0.5), *cli.DEFAULT_GRID])
     def test_row_sums_match_joint(self, a, b):
-        # f_N summed one row at a time equals the joint's row sums bit for bit
+        # every pair sum equals, bit for bit, the pair weight computed pair by
+        # pair, b^d (ab)^(-m) with float exponents; f_N summed one row at a
+        # time equals the joint's row sums
         for n in range(1, 9):
-            assert np.array_equal(f_n_enumerate_all(n, a, b),
-                                  tle_enumerate(n, a, b).s1_marginal())
+            paths = all_height_paths(n)
+            rows = list(_pair_weight_rows(n, a, b))
+            f_all = f_n_enumerate_all(n, a, b)
+            for i, s1 in enumerate(paths):
+                diff = s1[:, None] - paths.T
+                ref = b ** diff[-1].astype(float) * (a * b) ** (-diff.min(axis=0).astype(float))
+                assert np.array_equal(rows[i], ref)
+                assert np.array_equal(f_all[i], np.sum(ref))
+                f = f_n_enumerate(config_bits(i, n), a, b)
+                assert type(f) is float and f == np.sum(ref)
+            assert np.array_equal(f_all, tle_enumerate(n, a, b).s1_marginal())
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
