@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "BoundaryParams", "DomainError", "NumericConsistencyError", "PhaseInfo",
-        "ResourceLimitError", "VerificationError", "entropy_h", "fan_K_variational",
+        "ResourceLimitError", "entropy_h", "fan_K_variational",
         "log_c_growth_rate", "normalization_K", "params_from_ab", "params_from_rates",
         "params_from_scaling", "phase_info", "rate_density", "rate_density_variational",
         "relative_entropy", "shock_K_variational",

@@ -23,7 +23,6 @@ from .core import (
     DomainError,
     NumericConsistencyError,
     ResourceLimitError,
-    VerificationError,
     check_size,
     normalization_K,
     params_from_ab,
@@ -364,16 +363,15 @@ def _write_fluct_csvs(files: dict, mesh, scaled, ens) -> None:
 
 def cmd_fluct(args) -> int:
     from . import fluctuations
-    from .two_line_sampler import check_functionals_bytes
 
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
-    # refuse bad or oversized requests before --out is made or sampling starts
+    # refuse bad or oversized requests before sampling starts; the sampler
+    # checks the count itself, and --out is made only once it has drawn
     params_from_scaling(args.u, args.v, args.n)
-    check_functionals_bytes(args.count, len(fluctuations.MESH))
     fluctuations.check_limit_request(args.u, args.v, limit_count)
-    os.makedirs(args.out, exist_ok=True)
     scaled = fluctuations.sample_scaled_processes(args.u, args.v, args.n, args.count,
                                                   args.seed, threads=args.threads)
+    os.makedirs(args.out, exist_ok=True)
     ens = fluctuations.simulate_limit_exact(args.u, args.v, limit_count, args.seed + 1)
     if ens.degenerate:
         print(f"warning: importance-sampling ESS {ens.ess:.1f} below 1% of "
@@ -508,7 +506,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (VerificationError, NumericConsistencyError) as exc:
+    except NumericConsistencyError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -37,10 +37,6 @@ class NumericConsistencyError(ArithmeticError):
     """An internal numerical self-check failed."""
 
 
-class VerificationError(RuntimeError):
-    """A cross-route verification suite reported a failure."""
-
-
 def check_size(n: int, cap: int) -> None:
     """Refuse a system size outside 1..cap."""
     if not 1 <= n <= cap:

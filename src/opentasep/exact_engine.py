@@ -8,7 +8,10 @@ Routes:
   * matrix product <W| prod_j (tau_j D + (1-tau_j) E) |V> with bidiagonal
     D, E coupled through the real entry E[1,0] = 1-ab;
   * brute-force pair sum f_N(tau) = sum over second walks xi of the pair
-    weight b^(s1(N)-s2(N)) (ab)^(-min_j (s1(j)-s2(j))).
+    weight b^(d_N) (ab)^(-m_N), where d = s1 - s2 and m_N = min_j d_j.  The
+    sums price it as a^depth b^gap (depth = -m_N, gap = d_N + depth), as the
+    sampler's recursion does, and never form (ab)^depth, which over- or
+    underflows at accepted (a, b) where p_N is finite.
 
 All three agree; the tests pin this down per configuration.
 
@@ -223,15 +226,15 @@ def f_n_enumerate(tau, a, b):
 
 
 def _weight_grid(n: int, a, b) -> np.ndarray:
-    """grid[n + d, -m] = b^d (ab)^(-m), the weight of every pair whose
-    difference walk ends at d with minimum m; exact (object) entries for
-    Fraction a, b, since a Fraction to an ndarray power falls back to float.
-    Cells that no pair (or no pair with the caller's s1) reaches may overflow."""
+    """grid[gap, depth] = b^gap a^depth, the weight of every pair whose
+    difference walk has minimum -depth and ends gap above it; exact (object)
+    entries for Fraction a, b, since a Fraction to an ndarray power falls back
+    to float.  Cells that no pair (or no pair with the caller's s1) reaches
+    may overflow."""
     dtype = object if isinstance(a, Fraction) else float
-    ends = np.arange(-n, n + 1).astype(dtype)
-    depths = np.arange(n + 1).astype(dtype)
+    k = np.arange(n + 1).astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(b, dtype) ** ends[:, None] * np.asarray(a * b, dtype) ** depths
+        return np.asarray(b, dtype) ** k[:, None] * np.asarray(a, dtype) ** k
 
 
 def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -239,7 +242,8 @@ def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> n
     (all_height_paths transposed to C order, so each minimum runs across n+1
     rows, not along 2^n short ones), looked up in `grid` (_weight_grid)."""
     diff = s1[:, None] - heights
-    return grid[diff[-1] + len(s1) - 1, -diff.min(axis=0)]
+    depth = -diff.min(axis=0)
+    return grid[diff[-1] + depth, depth]
 
 
 def _pair_weight_rows(n: int, a: float, b: float):
@@ -268,10 +272,6 @@ def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
 class MarginalReport:
     """Outcome of comparing the top-line marginal against the recursion."""
 
-    n_sites: int
-    a: float
-    b: float
-    tol: float
     max_abs_error: float
     passed: bool
 
@@ -283,4 +283,4 @@ def verify_marginal_identity(n: int, a: float, b: float, tol: float) -> Marginal
     marginal /= marginal.sum()
     rec = stationary_weights_recursive(n, a, b)
     err = float(np.max(np.abs(marginal - rec.probabilities())))
-    return MarginalReport(n, float(a), float(b), tol, err, err <= tol)
+    return MarginalReport(err, err <= tol)

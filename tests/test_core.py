@@ -221,7 +221,7 @@ class TestEntropy:
 # re-exports it
 PUBLIC_NAMES = {
     "core": ("BoundaryParams", "DomainError", "NumericConsistencyError", "PhaseInfo",
-             "ResourceLimitError", "VerificationError", "entropy_h",
+             "ResourceLimitError", "entropy_h",
              "log_c_growth_rate", "normalization_K", "params_from_ab", "params_from_rates",
              "params_from_scaling", "phase_info", "relative_entropy"),
     "exact_engine": ("TwoLineTable", "WeightTable", "f_n_enumerate",

@@ -170,6 +170,26 @@ class TestPairSum:
                     assert isinstance(f, Fraction)
                     assert f == t.weights[i]
 
+    @pytest.mark.parametrize("a,b", [
+        (1.0, 1e200), (1e-200, 1e-200), (1e-3, 1e150), (1e-170, 1e-170),
+        (1e-200, 1e200), (1e-150, 1e150), (1e-100, 1e120), (1e-120, 1e100),
+        (1e150, 1e-3), (1e-300, 1e300),
+    ])
+    def test_finite_where_recursion_is_finite(self, a, b):
+        # wherever p_N is finite and positive, so is f_N, to 1e-12 relative (a
+        # NaN or inf fails the bound); pricing pairs as b^d (ab)^(-m) read
+        # 0 * inf = NaN, or 0, in most entries at the first four points
+        for n in range(1, 11):  # N = 11, 12 hold too, at ~15x the cost
+            with np.errstate(over="ignore"):  # where p_N itself overflows
+                w = stationary_weights_recursive(n, a, b).weights
+            f = f_n_enumerate_all(n, a, b)
+            ok = np.isfinite(w) & (w > 0)
+            assert np.all(np.abs(f[ok] - w[ok]) <= 1e-12 * w[ok]), n
+
+    def test_huge_b_single_configuration(self):
+        # the pair d = m = -2 is worth a^2 = 1, not 1e-400 * 1e400
+        assert f_n_enumerate((0, 0), 1.0, 1e200) == 4.0
+
 
 class TestEnumeration:
     def test_single_site_table(self):
@@ -203,15 +223,16 @@ class TestEnumeration:
     @pytest.mark.parametrize("a,b", [(2.0, 0.5), *cli.DEFAULT_GRID])
     def test_row_sums_match_joint(self, a, b):
         # every pair sum equals, bit for bit, the pair weight computed pair by
-        # pair, b^d (ab)^(-m) with float exponents; f_N summed one row at a
-        # time equals the joint's row sums
+        # pair, b^gap a^depth with float exponents (depth = -min d, gap =
+        # d_N + depth); f_N summed one row at a time equals the joint's row sums
         for n in range(1, 9):
             paths = all_height_paths(n)
             rows = list(_pair_weight_rows(n, a, b))
             f_all = f_n_enumerate_all(n, a, b)
             for i, s1 in enumerate(paths):
                 diff = s1[:, None] - paths.T
-                ref = b ** diff[-1].astype(float) * (a * b) ** (-diff.min(axis=0).astype(float))
+                depth = -diff.min(axis=0).astype(float)
+                ref = b ** (diff[-1] + depth) * a ** depth
                 assert np.array_equal(rows[i], ref)
                 assert np.array_equal(f_all[i], np.sum(ref))
                 f = f_n_enumerate(config_bits(i, n), a, b)
