@@ -198,9 +198,9 @@ def _apply_config(argv: list[str]) -> list[str]:
             break
     if j >= len(out):
         return global_flags + out  # no command; the parser will complain
-    pos = j + 1
-    if out[j] == "ldp" and pos < len(out) and not out[pos].startswith("-"):
-        pos += 1
+    if out[j] == "ldp" and (j + 1 == len(out) or out[j + 1].startswith("-")):
+        return argv  # no ldp subcommand; the parser reports it or prints help
+    pos = j + 2 if out[j] == "ldp" else j + 1
     return global_flags + out[:pos] + flags + out[pos:]
 
 
@@ -366,8 +366,7 @@ def cmd_fluct(args) -> int:
 
     limit_count = args.limit_count if args.limit_count is not None else 2 * args.count
     # refuse bad or oversized requests before sampling starts; the sampler
-    # checks the count itself, and --out is made only once it has drawn
-    params_from_scaling(args.u, args.v, args.n)
+    # checks (u, v, n) and the count itself, and --out is made once it has drawn
     fluctuations.check_limit_request(args.u, args.v, limit_count)
     scaled = fluctuations.sample_scaled_processes(args.u, args.v, args.n, args.count,
                                                   args.seed, threads=args.threads)

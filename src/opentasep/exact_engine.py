@@ -8,10 +8,10 @@ Routes:
   * matrix product <W| prod_j (tau_j D + (1-tau_j) E) |V> with bidiagonal
     D, E coupled through the real entry E[1,0] = 1-ab;
   * brute-force pair sum f_N(tau) = sum over second walks xi of the pair
-    weight b^(d_N) (ab)^(-m_N), where d = s1 - s2 and m_N = min_j d_j.  The
-    sums price it as a^depth b^gap (depth = -m_N, gap = d_N + depth), as the
-    sampler's recursion does, and never form (ab)^depth, which over- or
-    underflows at accepted (a, b) where p_N is finite.
+    weight b^(d_N) (ab)^(-m_N) = b^gap a^depth, where d = s1 - s2, depth =
+    -min_j d_j and gap = d_N + depth.  Each pair weight is evaluated exactly
+    from Fraction(a), Fraction(b) (a float is an exact binary rational), then
+    kept exact if a or b is a Fraction, else rounded once, inf included.
 
 All three agree; the tests pin this down per configuration.
 
@@ -118,11 +118,13 @@ class TwoLineTable:
         return self.joint.sum(axis=1)
 
 
-def _arithmetic(a, b):
-    """(a, b) as Fractions if either is one, for exact weights; else as floats."""
+def _rounded(w: np.ndarray, a, b) -> np.ndarray:
+    """Exact weights w (Fractions) as they are if a or b is a Fraction, else
+    each rounded once to the nearest double: inf from 2^1024 - 2^970, the
+    least rational that rounds to inf (where float() would raise)."""
     if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a), Fraction(b)
-    return float(a), float(b)
+        return w
+    return np.where(w < 2 ** 1024 - 2 ** 970, w, np.inf).astype(float)
 
 
 def stationary_weights_recursive(n: int, a, b) -> WeightTable:
@@ -138,9 +140,8 @@ def stationary_weights_recursive(n: int, a, b) -> WeightTable:
     """
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
-    a, b = _arithmetic(a, b)
-    one_a, one_b = 1 + a, 1 + b
-    prev = np.array([one_a, one_b], dtype=object if isinstance(a, Fraction) else float)
+    prev = _rounded(np.array([1 + Fraction(a), 1 + Fraction(b)]), a, b)
+    one_a, one_b = prev
     for m in range(2, n + 1):
         cur = np.empty(1 << m, dtype=prev.dtype)
         top = 1 << (m - 1)
@@ -200,14 +201,15 @@ def _heights(s) -> list[int]:
 
 
 def two_line_weight(s1, s2, a, b):
-    """Pair weight b^(s1(N)-s2(N)) * (ab)^(-min_j (s1(j)-s2(j)))."""
+    """Pair weight b^(s1(N)-s2(N)) * (ab)^(-min_j (s1(j)-s2(j))), exact then _rounded."""
     check_ab(a, b)
     v1 = _heights(s1)
     v2 = _heights(s2)
     if len(v1) != len(v2):
         raise DomainError(f"path lengths differ: {len(v1) - 1} vs {len(v2) - 1}")
     diff = [x - y for x, y in zip(v1, v2)]
-    return b ** diff[-1] * (a * b) ** (-min(diff))
+    w = Fraction(b) ** diff[-1] * (Fraction(a) * Fraction(b)) ** -min(diff)
+    return _rounded(np.array(w), a, b).item()
 
 
 def f_n_enumerate(tau, a, b):
@@ -221,20 +223,16 @@ def f_n_enumerate(tau, a, b):
     check_ab(a, b)
     s1 = np.concatenate([[0], np.cumsum(bits)])
     heights = np.ascontiguousarray(all_height_paths(n).T)
-    row = _pair_weight_row(s1, heights, _weight_grid(n, *_arithmetic(a, b)))
+    row = _pair_weight_row(s1, heights, _weight_grid(n, a, b))
     return np.sum(row, keepdims=True).item()
 
 
 def _weight_grid(n: int, a, b) -> np.ndarray:
-    """grid[gap, depth] = b^gap a^depth, the weight of every pair whose
-    difference walk has minimum -depth and ends gap above it; exact (object)
-    entries for Fraction a, b, since a Fraction to an ndarray power falls back
-    to float.  Cells that no pair (or no pair with the caller's s1) reaches
-    may overflow."""
-    dtype = object if isinstance(a, Fraction) else float
-    k = np.arange(n + 1).astype(dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(b, dtype) ** k[:, None] * np.asarray(a, dtype) ** k
+    """grid[gap, depth] = b^gap a^depth, exact then _rounded: the weight of
+    every pair whose difference walk has minimum -depth and ends gap above it."""
+    k = np.arange(n + 1).astype(object)  # a Fraction to an ndarray power is a float
+    return _rounded(np.asarray(Fraction(b), object) ** k[:, None]
+                    * np.asarray(Fraction(a), object) ** k, a, b)
 
 
 def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> np.ndarray:

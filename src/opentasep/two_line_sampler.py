@@ -324,9 +324,7 @@ def _endpoint_log_pmf(n: int, a: float, b: float) -> np.ndarray:
     cur = np.full((n + 2, n + 1), -np.inf)  # [q, k]
     cur[0, 0] = 0.0
     for _ in range(n):
-        nxt = np.full_like(cur, -np.inf)
-        # flat step (0,0): q, k unchanged
-        nxt[:, :] = cur
+        nxt = cur.copy()  # flat step (0,0): q, k unchanged
         # flat step (1,1): k + 1
         nxt[:, 1:] = np.logaddexp(nxt[:, 1:], cur[:, :-1])
         # up step (1,0): q + 1, k + 1

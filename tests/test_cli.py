@@ -648,6 +648,19 @@ class TestConfigFile:
         assert code == 0
         assert strict_json(out)["region"] == "LD"
 
+    def test_ldp_without_subcommand(self, capsys, tmp_path):
+        # the file's flags go after an ldp subcommand; with none, the parser
+        # reports it missing, or prints help, as it does without --config
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\n")
+        code, out, err = run(capsys, "--config", str(cfg), "ldp")
+        assert code == 1 and out == ""
+        assert err == "usage error: the following arguments are required: {rate,density,check}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "ldp", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: opentasep ldp [-h] {rate,density,check}")
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "--config", "/nonexistent.cfg", "phase",
                          "--a", "1", "--b", "1")

@@ -25,6 +25,13 @@ from opentasep.exact_engine import (
 )
 from opentasep.two_line_sampler import build_partition_table
 
+# accepted (a, b) where a float pair weight or sum over- or underflows
+EXTREME_AB = [
+    (1.0, 1e200), (1e-200, 1e-200), (1e-3, 1e150), (1e-170, 1e-170),
+    (1e-200, 1e200), (1e-150, 1e150), (1e-100, 1e120), (1e-120, 1e100),
+    (1e150, 1e-3), (1e-300, 1e300), (1e100, 1e100),
+]
+
 
 class TestRecursion:
     def test_single_site(self):
@@ -138,6 +145,24 @@ class TestPairWeight:
         with pytest.raises(DomainError):
             two_line_weight((0, 1), (0, 1, 2), 1.0, 1.0)
 
+    def test_huge_b(self):
+        # d = m = -2: the weight is a^2 = 1, though (ab)^2 = 1e400 overflows
+        assert two_line_weight((0, 0, 0), (0, 1, 2), 1.0, 1e200) == 1.0
+
+    def test_exact_for_one_fraction(self):
+        # as in f_n_enumerate, one Fraction makes the weight exact
+        w = two_line_weight((0, 1, 1, 1), (0, 0, 1, 2), Fraction(1, 3), 1.25)
+        assert isinstance(w, Fraction) and w == Fraction(1, 3)  # b^-1 (ab)^1 = a
+
+    @pytest.mark.parametrize("a,b", [*EXTREME_AB, *cli.DEFAULT_GRID])
+    def test_equals_pair_sum_weight(self, a, b):
+        # the paper's form and the sums' gap/depth grid agree bit for bit
+        # (inf == inf; NaN fails), with no warning
+        for n in range(1, 6):
+            paths = all_height_paths(n).tolist()
+            for s1, row in zip(paths, _pair_weight_rows(n, a, b)):
+                assert [two_line_weight(s1, s2, a, b) for s2 in paths] == row.tolist()
+
 
 class TestPairSum:
     def test_single_site(self):
@@ -170,21 +195,21 @@ class TestPairSum:
                     assert isinstance(f, Fraction)
                     assert f == t.weights[i]
 
-    @pytest.mark.parametrize("a,b", [
-        (1.0, 1e200), (1e-200, 1e-200), (1e-3, 1e150), (1e-170, 1e-170),
-        (1e-200, 1e200), (1e-150, 1e150), (1e-100, 1e120), (1e-120, 1e100),
-        (1e150, 1e-3), (1e-300, 1e300),
-    ])
+    @pytest.mark.parametrize("a,b", EXTREME_AB)
     def test_finite_where_recursion_is_finite(self, a, b):
         # wherever p_N is finite and positive, so is f_N, to 1e-12 relative (a
         # NaN or inf fails the bound); pricing pairs as b^d (ab)^(-m) read
-        # 0 * inf = NaN, or 0, in most entries at the first four points
+        # 0 * inf = NaN, or 0, in most entries at the first four points.  No
+        # entry is NaN, and f_N is inf exactly where p_N is: an overflowing
+        # float pair weight read inf * 0 = NaN
         for n in range(1, 11):  # N = 11, 12 hold too, at ~15x the cost
             with np.errstate(over="ignore"):  # where p_N itself overflows
                 w = stationary_weights_recursive(n, a, b).weights
             f = f_n_enumerate_all(n, a, b)
             ok = np.isfinite(w) & (w > 0)
             assert np.all(np.abs(f[ok] - w[ok]) <= 1e-12 * w[ok]), n
+            assert not np.isnan(f).any(), n
+            assert np.array_equal(np.isinf(f), np.isinf(w)), n
 
     def test_huge_b_single_configuration(self):
         # the pair d = m = -2 is worth a^2 = 1, not 1e-400 * 1e400
@@ -223,16 +248,20 @@ class TestEnumeration:
     @pytest.mark.parametrize("a,b", [(2.0, 0.5), *cli.DEFAULT_GRID])
     def test_row_sums_match_joint(self, a, b):
         # every pair sum equals, bit for bit, the pair weight computed pair by
-        # pair, b^gap a^depth with float exponents (depth = -min d, gap =
-        # d_N + depth); f_N summed one row at a time equals the joint's row sums
+        # pair, b^gap a^depth evaluated exactly and rounded once (depth =
+        # -min d, gap = d_N + depth); f_N summed one row at a time equals the
+        # joint's row sums
         for n in range(1, 9):
             paths = all_height_paths(n)
             rows = list(_pair_weight_rows(n, a, b))
             f_all = f_n_enumerate_all(n, a, b)
+            k = range(n + 1)
+            priced = np.array([[float(Fraction(b) ** gap * Fraction(a) ** depth) for depth in k]
+                               for gap in k])
             for i, s1 in enumerate(paths):
                 diff = s1[:, None] - paths.T
-                depth = -diff.min(axis=0).astype(float)
-                ref = b ** (diff[-1] + depth) * a ** depth
+                depth = -diff.min(axis=0)
+                ref = priced[diff[-1] + depth, depth]
                 assert np.array_equal(rows[i], ref)
                 assert np.array_equal(f_all[i], np.sum(ref))
                 f = f_n_enumerate(config_bits(i, n), a, b)
