@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -112,7 +113,7 @@ class TwoLineTable:
     """
 
     joint: np.ndarray
-    c: float
+    c: float | Fraction
 
     def s1_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=1)
@@ -218,51 +219,54 @@ def f_n_enumerate(tau, a, b):
     A float for float a and b; a Fraction a or b gives an exact Fraction sum.
     """
     bits = check_bits(tau)
-    n = len(bits)
-    check_size(n, ENUMERATION_CAP)
-    check_ab(a, b)
-    s1 = np.concatenate([[0], np.cumsum(bits)])
-    heights = np.ascontiguousarray(all_height_paths(n).T)
-    row = _pair_weight_row(s1, heights, _weight_grid(n, a, b))
+    heights, grid = _pricing(len(bits), a, b, ENUMERATION_CAP)
+    row = _pair_weight_row(heights[:, config_index(bits)], heights, grid)
     return np.sum(row, keepdims=True).item()
 
 
+@lru_cache(maxsize=128, typed=True)  # typed: Fraction(1, 2) == 0.5 hashes alike, prices exactly
 def _weight_grid(n: int, a, b) -> np.ndarray:
     """grid[gap, depth] = b^gap a^depth, exact then _rounded: the weight of
     every pair whose difference walk has minimum -depth and ends gap above it."""
     k = np.arange(n + 1).astype(object)  # a Fraction to an ndarray power is a float
-    return _rounded(np.asarray(Fraction(b), object) ** k[:, None]
+    grid = _rounded(np.asarray(Fraction(b), object) ** k[:, None]
                     * np.asarray(Fraction(a), object) ** k, a, b)
+    grid.flags.writeable = False
+    return grid
+
+
+def _pricing(n: int, a, b, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """all_height_paths(n) transposed to C order (so each minimum runs across
+    n+1 rows, not along 2^n short ones), and the weight grid of (n, a, b)."""
+    check_size(n, cap)
+    check_ab(a, b)
+    return np.ascontiguousarray(all_height_paths(n).T), _weight_grid(n, a, b)
 
 
 def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Pair weights of the height path s1 against every column s2 of `heights`
-    (all_height_paths transposed to C order, so each minimum runs across n+1
-    rows, not along 2^n short ones), looked up in `grid` (_weight_grid)."""
+    """Pair weights of the height path s1 against every column s2 of
+    `heights`, looked up in `grid` (both from _pricing)."""
     diff = s1[:, None] - heights
     depth = -diff.min(axis=0)
     return grid[diff[-1] + depth, depth]
 
 
-def _pair_weight_rows(n: int, a: float, b: float):
+def _pair_weight_rows(n: int, a, b):
     """The joint table's rows, one at a time, in configuration-index order."""
-    check_size(n, PAIR_ENUMERATION_CAP)
-    check_ab(a, b)
-    grid = _weight_grid(n, float(a), float(b))
-    heights = np.ascontiguousarray(all_height_paths(n).T)
+    heights, grid = _pricing(n, a, b, PAIR_ENUMERATION_CAP)
     return (_pair_weight_row(heights[:, i], heights, grid) for i in range(1 << n))
 
 
-def f_n_enumerate_all(n: int, a: float, b: float) -> np.ndarray:
+def f_n_enumerate_all(n: int, a, b) -> np.ndarray:
     """f_N per configuration index: the joint's row sums, bit for bit, without it."""
     return np.array([np.sum(row) for row in _pair_weight_rows(n, a, b)])
 
 
-def tle_enumerate(n: int, a: float, b: float) -> TwoLineTable:
+def tle_enumerate(n: int, a, b) -> TwoLineTable:
     """Full joint table of pair weights over all 4^N path pairs."""
-    size = 1 << n
-    joint = np.fromiter(_pair_weight_rows(n, a, b), dtype=(float, size), count=size)
-    c = joint.sum() / 4.0 ** n
+    rows = _pair_weight_rows(n, a, b)
+    joint = np.fromiter(rows, dtype=(_weight_grid(n, a, b).dtype, 1 << n), count=1 << n)
+    c = joint.sum() / 4 ** n
     return TwoLineTable(joint=joint, c=c)
 
 

@@ -425,20 +425,13 @@ def rate_height_variational(f: Profile, a: float, b: float) -> VariationalResult
 
 def _pav_nondecreasing(targets: list[float], weights: list[float]) -> list[float]:
     """Pool-adjacent-violators for weighted isotonic means."""
-    means = []
-    ws = []
-    counts = []
+    blocks = []  # (mean, weight, cells) of each pooled run of targets
     for t, w in zip(targets, weights):
-        means.append(t)
-        ws.append(w)
-        counts.append(1)
-        while len(means) >= 2 and means[-2] >= means[-1]:
-            m2, w2, c2 = means.pop(), ws.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), ws.pop(), counts.pop()
-            means.append((m1 * w1 + m2 * w2) / (w1 + w2))
-            ws.append(w1 + w2)
-            counts.append(c1 + c2)
-    return [m for m, c in zip(means, counts) for _ in range(c)]
+        blocks.append((t, w, 1))
+        while len(blocks) >= 2 and blocks[-2][0] >= blocks[-1][0]:
+            (m2, w2, c2), (m1, w1, c1) = blocks.pop(), blocks.pop()
+            blocks.append(((m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2))
+    return [m for m, _, c in blocks for _ in range(c)]
 
 
 def sup_over_G(f: Profile, a: float, b: float) -> float:

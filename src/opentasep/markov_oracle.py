@@ -48,14 +48,16 @@ def solve_stationary(q) -> np.ndarray:
     """Probability vector pi with pi Q = 0 and sum(pi) = 1, for the generator
     Q that build_generator returns.
 
-    One sparse direct solve: pin the last component to 1, solve the other
-    balance equations of Q^T pi = 0 for the rest, then normalize.
+    One sparse direct solve: pin pi to 1 at the state Q leaves slowest (pi_0
+    deep in the low-density phase, pi_last deep in the high-density phase),
+    solve the other balance equations of pi Q = 0 for the rest, normalize.
     """
     import scipy.sparse.linalg  # deferred: only the oracle commands load SciPy
 
-    qt = q.T.tocsc()
-    pi = np.append(scipy.sparse.linalg.spsolve(qt[:-1, :-1], -qt[:-1, -1].toarray().ravel()),
-                   1.0)
+    pin = int(np.argmax(q.diagonal()))
+    rest = np.arange(q.shape[0]) != pin
+    pi = np.ones(q.shape[0])
+    pi[rest] = scipy.sparse.linalg.spsolve(q[rest][:, rest].T.tocsc(), -q[pin, rest].toarray()[0])
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ q)))
     if residual > STATIONARY_RESIDUAL or not (pi > 0).all():

@@ -328,6 +328,13 @@ class TestStationary:
                            "--out", str(tmp_path))
         assert code == 0 and err == ""
 
+    def test_deep_low_density(self, capsys, tmp_path):
+        # pi_last is ~1e-60 here, too small to pin
+        code, out, err = run(capsys, "stationary", "--n", "3", "--a", "1e20", "--b", "1",
+                             "--out", str(tmp_path))
+        assert code == 0 and err == ""
+        assert strict_json(out)["generator_max_abs_error"] <= 1e-30
+
     def test_refused_rate_writes_nothing(self, capsys, tmp_path):
         # alpha = 1/(1+1e-17) rounds to 1, which the generator refuses only
         # after the other routes have run; no partial weights.csv is left

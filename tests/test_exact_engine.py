@@ -19,6 +19,7 @@ from opentasep import (
 from opentasep import cli
 from opentasep.exact_engine import (
     _pair_weight_rows,
+    _weight_grid,
     all_height_paths,
     config_bits,
     f_n_enumerate_all,
@@ -187,13 +188,32 @@ class TestPairSum:
 
     def test_identity_exact_rational(self):
         # one Fraction makes the sum exact; 1.25 is the dyadic 5/4
-        for a, b in [(Fraction(2), Fraction(1, 2)), (Fraction(1, 3), 1.25)]:
+        for a, b in [(Fraction(2), Fraction(1, 2)), (Fraction(1, 3), 1.25),
+                     (Fraction(1, 3), Fraction(5, 4))]:
             for n in range(1, 7):
                 t = stationary_weights_recursive(n, a, b)
+                f_all = f_n_enumerate_all(n, a, b)
+                assert all(isinstance(f, Fraction) for f in f_all)
+                assert list(f_all) == list(t.weights)
                 for i in range(1 << n):
                     f = f_n_enumerate(t.config(i), a, b)
                     assert isinstance(f, Fraction)
                     assert f == t.weights[i]
+
+    def test_grid_cached_by_type(self):
+        # Fraction(1, 2) == 0.5 and both hash alike, yet they price differently:
+        # a cached float grid must not answer the Fraction call
+        assert type(f_n_enumerate((0, 1, 1), 0.5, 0.25)) is float
+        f = f_n_enumerate((0, 1, 1), Fraction(1, 2), Fraction(1, 4))
+        assert isinstance(f, Fraction)
+        assert f == stationary_weights_recursive(3, Fraction(1, 2), Fraction(1, 4))[(0, 1, 1)]
+
+    def test_grid_read_only(self):
+        for a, b in [(0.5, 2.0), (Fraction(1, 2), Fraction(2))]:
+            grid = _weight_grid(4, a, b)
+            assert grid is _weight_grid(4, a, b)
+            with pytest.raises(ValueError):
+                grid[0, 0] = 0
 
     @pytest.mark.parametrize("a,b", EXTREME_AB)
     def test_finite_where_recursion_is_finite(self, a, b):

@@ -71,6 +71,16 @@ class TestStationarySolve:
             rec = stationary_weights_recursive(n, a, b)
             assert np.max(np.abs(pi - rec.probabilities())) <= 1e-10
 
+    @pytest.mark.parametrize("a,b,n_min", [(1e20, 1.0, 2), (1e10, 1e-5, 4)])
+    def test_deep_phase_pin(self, a, b, n_min):
+        # pi_last is ~1e-20 or less here, too small to pin: rounding swamps
+        # it, and the solve reads a negative component or NaN
+        p = params_from_ab(a, b)
+        for n in range(n_min, 13):
+            pi = solve_stationary(build_generator(n, p.alpha, p.beta))
+            rec = stationary_weights_recursive(n, a, b)
+            assert np.max(np.abs(pi - rec.probabilities())) <= 1e-12, n
+
     def test_power_iteration_path(self):
         # a small residual alone does not bound the error: the removed power-
         # iteration solver met it at N = 11, 12 with errors up to 2e-10
