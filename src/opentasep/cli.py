@@ -256,6 +256,8 @@ def cmd_stationary(args) -> int:
 
     params = _resolve_params(args)
     table = exact_engine.stationary_weights_recursive(args.n, params.a, params.b)
+    if not table.z < float("inf"):  # no probabilities to write
+        raise DomainError(f"the stationary weights at n={args.n} overflow a double")
     mat_err, gen_err = _route_errors(args.n, params, table)
     if mat_err > TOLERANCES["matrix"]:
         print(f"warning: matrix-product route relative error {mat_err:.3g} above "
@@ -276,9 +278,9 @@ def cmd_stationary(args) -> int:
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from . import exact_engine
+    from . import exact_engine, markov_oracle
 
-    check_size(args.n_max, exact_engine.PAIR_ENUMERATION_CAP)
+    check_size(args.n_max, markov_oracle.GENERATOR_CAP)
     _check_writable(args.out)
     checks = []
     worst = dict.fromkeys(TOLERANCES, 0.0)

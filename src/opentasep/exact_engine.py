@@ -7,9 +7,10 @@ Routes:
     1+b, a "10" factor splits into the two merged-site configurations);
   * matrix product <W| prod_j (tau_j D + (1-tau_j) E) |V> with bidiagonal
     D, E coupled through the real entry E[1,0] = 1-ab;
-  * brute-force pair sum f_N(tau) = sum over second walks xi of the pair
-    weight b^(d_N) (ab)^(-m_N) = b^gap a^depth, where d = s1 - s2, depth =
-    -min_j d_j and gap = d_N + depth.  Each pair weight is evaluated exactly
+  * pair sum f_N(tau) = sum over second walks xi of the pair weight
+    b^(d_N) (ab)^(-m_N) = b^gap a^depth, where d = s1 - s2, depth =
+    -min_j d_j and gap = d_N + depth, summed by a backward pass over the gap.
+    b^gap and a (and each weight of the joint table) are evaluated exactly
     from Fraction(a), Fraction(b) (a float is an exact binary rational), then
     kept exact if a or b is a Fraction, else rounded once, inf included.
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -137,26 +137,28 @@ def stationary_weights_recursive(n: int, a, b) -> WeightTable:
     is a theorem and is tested, not assumed.
 
     Plain doubles are exact enough below the cap (weights are bounded by
-    (1 + max(a,b))^N); a Fraction a or b gives Fraction weights.
+    max(2, 1 + max(a,b))^N); a weight past the largest double is inf, with
+    no warning.  A Fraction a or b gives Fraction weights.
     """
     check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
     prev = _rounded(np.array([1 + Fraction(a), 1 + Fraction(b)]), a, b)
     one_a, one_b = prev
-    for m in range(2, n + 1):
-        cur = np.empty(1 << m, dtype=prev.dtype)
-        top = 1 << (m - 1)
-        cur[0::2] = one_a * prev  # tau_1 = 0
-        cur[top + 1::2] = one_b * prev[1::2]  # tau_1 = tau_m = 1
-        # the rest start with p ones (z = 2^p) and a 0: the leftmost "10", at
-        # sites p, p+1, merges into a 1 or a 0 at site p, below the sites
-        # p+2..m shifted down by one (rest)
-        i = np.arange(1, top, 2)
-        z = (i + 1) & ~i
-        rest = i // (2 * z) * z
-        cur[1:top:2] = prev[rest + z - 1] + prev[rest + z // 2 - 1]
-        prev = cur
-    z = prev.sum()
+    with np.errstate(over="ignore"):
+        for m in range(2, n + 1):
+            cur = np.empty(1 << m, dtype=prev.dtype)
+            top = 1 << (m - 1)
+            cur[0::2] = one_a * prev  # tau_1 = 0
+            cur[top + 1::2] = one_b * prev[1::2]  # tau_1 = tau_m = 1
+            # the rest start with p ones (z = 2^p) and a 0: the leftmost "10", at
+            # sites p, p+1, merges into a 1 or a 0 at site p, below the sites
+            # p+2..m shifted down by one (rest)
+            i = np.arange(1, top, 2)
+            z = (i + 1) & ~i
+            rest = i // (2 * z) * z
+            cur[1:top:2] = prev[rest + z - 1] + prev[rest + z // 2 - 1]
+            prev = cur
+        z = prev.sum()
     return WeightTable(n_sites=n, a=a, b=b, weights=prev, z=z)
 
 
@@ -213,61 +215,56 @@ def two_line_weight(s1, s2, a, b):
     return _rounded(np.array(w), a, b).item()
 
 
-def f_n_enumerate(tau, a, b):
-    """Sum of pair weights over every second walk; equals p_N(tau).
-
-    A float for float a and b; a Fraction a or b gives an exact Fraction sum.
-    """
-    bits = check_bits(tau)
-    heights, grid = _pricing(len(bits), a, b, ENUMERATION_CAP)
-    row = _pair_weight_row(heights[:, config_index(bits)], heights, grid)
-    return np.sum(row, keepdims=True).item()
-
-
-@lru_cache(maxsize=128, typed=True)  # typed: Fraction(1, 2) == 0.5 hashes alike, prices exactly
-def _weight_grid(n: int, a, b) -> np.ndarray:
-    """grid[gap, depth] = b^gap a^depth, exact then _rounded: the weight of
-    every pair whose difference walk has minimum -depth and ends gap above it."""
-    k = np.arange(n + 1).astype(object)  # a Fraction to an ndarray power is a float
-    grid = _rounded(np.asarray(Fraction(b), object) ** k[:, None]
-                    * np.asarray(Fraction(a), object) ** k, a, b)
-    grid.flags.writeable = False
-    return grid
-
-
-def _pricing(n: int, a, b, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """all_height_paths(n) transposed to C order (so each minimum runs across
-    n+1 rows, not along 2^n short ones), and the weight grid of (n, a, b)."""
-    check_size(n, cap)
+def _pair_sums(steps: np.ndarray, a, b) -> np.ndarray:
+    """f_N of each row of the (rows, N) 0/1 matrix steps, by a backward pass
+    over the gap g = d_j - min d: V(g) = b^g after the last step; where
+    tau_j = 1, V(g) += V(g+1), and where tau_j = 0, V(g) += V(g-1), with
+    a V(0) for a new minimum at g = 0; f_N = V(0).  b^g and a are exact, then
+    _rounded once; a Fraction a or b keeps the pass exact on object arrays."""
+    rows, n = steps.shape
+    check_size(n, ENUMERATION_CAP)
     check_ab(a, b)
-    return np.ascontiguousarray(all_height_paths(n).T), _weight_grid(n, a, b)
+    k = np.arange(n + 1).astype(object)  # a Fraction to an ndarray power is a float
+    priced = _rounded(np.append(np.asarray(Fraction(b), object) ** k, Fraction(a)), a, b)
+    v = np.empty((rows, n + 2), dtype=priced.dtype)  # v[:, 1 + g] = V(g)
+    v[:, 1:] = priced[:-1]
+    # a reachable V(g) is at most f_N, since a depth-0 prefix reaches it, so
+    # its overflow puts f_N past the largest double; an unreachable one feeds
+    # no reachable one.  Before step j only gaps 0..j-1 are kept.
+    with np.errstate(over="ignore"):
+        for j in range(n, 0, -1):
+            v[:, 0] = priced[-1] * v[:, 1]  # a V(0), a step below gap 0
+            v[:, 1:j + 1] += np.where(steps[:, j - 1:j] == 1, v[:, 2:j + 2], v[:, :j])
+    return v[:, 1]
 
 
-def _pair_weight_row(s1: np.ndarray, heights: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Pair weights of the height path s1 against every column s2 of
-    `heights`, looked up in `grid` (both from _pricing)."""
-    diff = s1[:, None] - heights
-    depth = -diff.min(axis=0)
-    return grid[diff[-1] + depth, depth]
-
-
-def _pair_weight_rows(n: int, a, b):
-    """The joint table's rows, one at a time, in configuration-index order."""
-    heights, grid = _pricing(n, a, b, PAIR_ENUMERATION_CAP)
-    return (_pair_weight_row(heights[:, i], heights, grid) for i in range(1 << n))
+def f_n_enumerate(tau, a, b):
+    """Sum of pair weights over every second walk; equals p_N(tau).  A float
+    for float a and b; a Fraction a or b gives an exact Fraction sum."""
+    return _pair_sums(np.array([check_bits(tau)]), a, b).item()
 
 
 def f_n_enumerate_all(n: int, a, b) -> np.ndarray:
-    """f_N per configuration index: the joint's row sums, bit for bit, without it."""
-    return np.array([np.sum(row) for row in _pair_weight_rows(n, a, b)])
+    """f_N per configuration index, each row as f_n_enumerate sums it."""
+    check_size(n, ENUMERATION_CAP)  # before its 2^n rows are built
+    return _pair_sums(np.diff(all_height_paths(n), axis=1), a, b)
 
 
 def tle_enumerate(n: int, a, b) -> TwoLineTable:
-    """Full joint table of pair weights over all 4^N path pairs."""
-    rows = _pair_weight_rows(n, a, b)
-    joint = np.fromiter(rows, dtype=(_weight_grid(n, a, b).dtype, 1 << n), count=1 << n)
-    c = joint.sum() / 4 ** n
-    return TwoLineTable(joint=joint, c=c)
+    """Full joint table of pair weights over all 4^N path pairs, each looked
+    up in grid[gap, depth] = b^gap a^depth, exact then _rounded."""
+    check_size(n, PAIR_ENUMERATION_CAP)
+    check_ab(a, b)
+    k = np.arange(n + 1).astype(object)
+    grid = _rounded(np.asarray(Fraction(b), object) ** k[:, None]
+                    * np.asarray(Fraction(a), object) ** k, a, b)
+    heights = np.ascontiguousarray(all_height_paths(n).T)  # each minimum runs down n+1 rows
+    joint = np.empty((1 << n, 1 << n), dtype=grid.dtype)
+    for row, s1 in zip(joint, heights.T):
+        diff = s1[:, None] - heights
+        depth = -diff.min(axis=0)
+        row[:] = grid[diff[-1] + depth, depth]
+    return TwoLineTable(joint=joint, c=joint.sum() / 4 ** n)
 
 
 @dataclass(frozen=True)

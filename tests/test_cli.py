@@ -343,6 +343,16 @@ class TestStationary:
         assert code == 2 and "alpha must lie in (0, 1)" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("a,b", [("1e20", "1e-30"), ("1e30", "1")])
+    def test_overflowing_weights_refused(self, capsys, tmp_path, a, b):
+        # z past the largest double would be written as Infinity, and the
+        # matrix route's error as NaN; neither is JSON
+        code, out, err = run(capsys, "stationary", "--n", "16", "--a", a, "--b", b,
+                             "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys, tmp_path):
@@ -369,6 +379,13 @@ class TestVerify:
         payload = strict_json(report.read_text())
         assert code == 0
         assert payload["passed"] is True
+
+    def test_n_max_above_generator_cap(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", "--n-max", "13", "--out", str(report))
+        assert code == 3 and out == ""
+        assert err == "resource error: n=13 outside supported range 1..12\n"
+        assert not report.exists()
 
 
 class TestSample:

@@ -18,8 +18,6 @@ from opentasep import (
 )
 from opentasep import cli
 from opentasep.exact_engine import (
-    _pair_weight_rows,
-    _weight_grid,
     all_height_paths,
     config_bits,
     f_n_enumerate_all,
@@ -157,11 +155,11 @@ class TestPairWeight:
 
     @pytest.mark.parametrize("a,b", [*EXTREME_AB, *cli.DEFAULT_GRID])
     def test_equals_pair_sum_weight(self, a, b):
-        # the paper's form and the sums' gap/depth grid agree bit for bit
-        # (inf == inf; NaN fails), with no warning
+        # the paper's form and the joint table's gap/depth grid agree bit for
+        # bit (inf == inf; NaN fails), with no warning
         for n in range(1, 6):
             paths = all_height_paths(n).tolist()
-            for s1, row in zip(paths, _pair_weight_rows(n, a, b)):
+            for s1, row in zip(paths, tle_enumerate(n, a, b).joint):
                 assert [two_line_weight(s1, s2, a, b) for s2 in paths] == row.tolist()
 
 
@@ -201,19 +199,12 @@ class TestPairSum:
                     assert f == t.weights[i]
 
     def test_grid_cached_by_type(self):
-        # Fraction(1, 2) == 0.5 and both hash alike, yet they price differently:
-        # a cached float grid must not answer the Fraction call
+        # Fraction(1, 2) == 0.5, yet they price differently: the float call
+        # sums rounded doubles, the Fraction call sums exactly
         assert type(f_n_enumerate((0, 1, 1), 0.5, 0.25)) is float
         f = f_n_enumerate((0, 1, 1), Fraction(1, 2), Fraction(1, 4))
         assert isinstance(f, Fraction)
         assert f == stationary_weights_recursive(3, Fraction(1, 2), Fraction(1, 4))[(0, 1, 1)]
-
-    def test_grid_read_only(self):
-        for a, b in [(0.5, 2.0), (Fraction(1, 2), Fraction(2))]:
-            grid = _weight_grid(4, a, b)
-            assert grid is _weight_grid(4, a, b)
-            with pytest.raises(ValueError):
-                grid[0, 0] = 0
 
     @pytest.mark.parametrize("a,b", EXTREME_AB)
     def test_finite_where_recursion_is_finite(self, a, b):
@@ -222,14 +213,19 @@ class TestPairSum:
         # 0 * inf = NaN, or 0, in most entries at the first four points.  No
         # entry is NaN, and f_N is inf exactly where p_N is: an overflowing
         # float pair weight read inf * 0 = NaN
-        for n in range(1, 11):  # N = 11, 12 hold too, at ~15x the cost
-            with np.errstate(over="ignore"):  # where p_N itself overflows
-                w = stationary_weights_recursive(n, a, b).weights
+        for n in range(1, 13):
+            w = stationary_weights_recursive(n, a, b).weights  # inf, quietly, past a double
             f = f_n_enumerate_all(n, a, b)
             ok = np.isfinite(w) & (w > 0)
             assert np.all(np.abs(f[ok] - w[ok]) <= 1e-12 * w[ok]), n
             assert not np.isnan(f).any(), n
             assert np.array_equal(np.isinf(f), np.isinf(w)), n
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.8), (2.0, 1.5)], ids=["fan", "shock"])
+    def test_n16_matches_recursion(self, a, b):
+        f = f_n_enumerate_all(16, a, b)
+        w = stationary_weights_recursive(16, a, b).weights
+        assert np.max(np.abs(f - w) / w) <= 1e-12
 
     def test_huge_b_single_configuration(self):
         # the pair d = m = -2 is worth a^2 = 1, not 1e-400 * 1e400
@@ -267,13 +263,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("a,b", [(2.0, 0.5), *cli.DEFAULT_GRID])
     def test_row_sums_match_joint(self, a, b):
-        # every pair sum equals, bit for bit, the pair weight computed pair by
-        # pair, b^gap a^depth evaluated exactly and rounded once (depth =
-        # -min d, gap = d_N + depth); f_N summed one row at a time equals the
-        # joint's row sums
+        # every joint entry equals, bit for bit, the pair weight computed pair
+        # by pair, b^gap a^depth evaluated exactly and rounded once (depth =
+        # -min d, gap = d_N + depth); f_N of one configuration equals, bit for
+        # bit, its entry of f_n_enumerate_all, and both equal the joint's row
+        # sums to 1e-15 relative (the pass sums in another order)
         for n in range(1, 9):
             paths = all_height_paths(n)
-            rows = list(_pair_weight_rows(n, a, b))
+            table = tle_enumerate(n, a, b)
             f_all = f_n_enumerate_all(n, a, b)
             k = range(n + 1)
             priced = np.array([[float(Fraction(b) ** gap * Fraction(a) ** depth) for depth in k]
@@ -281,18 +278,17 @@ class TestEnumeration:
             for i, s1 in enumerate(paths):
                 diff = s1[:, None] - paths.T
                 depth = -diff.min(axis=0)
-                ref = priced[diff[-1] + depth, depth]
-                assert np.array_equal(rows[i], ref)
-                assert np.array_equal(f_all[i], np.sum(ref))
+                assert np.array_equal(table.joint[i], priced[diff[-1] + depth, depth])
                 f = f_n_enumerate(config_bits(i, n), a, b)
-                assert type(f) is float and f == np.sum(ref)
-            assert np.array_equal(f_all, tle_enumerate(n, a, b).s1_marginal())
+                assert type(f) is float and f == f_all[i]
+            rows = table.s1_marginal()
+            assert np.max(np.abs(f_all - rows) / rows) <= 1e-15
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             tle_enumerate(13, 1.0, 1.0)
         with pytest.raises(ResourceLimitError):
-            f_n_enumerate_all(13, 1.0, 1.0)
+            f_n_enumerate_all(17, 1.0, 1.0)
 
     def test_all_height_paths_shape(self):
         paths = all_height_paths(3)
